@@ -206,17 +206,6 @@ def word_to_masks(word: str) -> tuple[int, int, complex]:
     return x, z, 1j**n_y
 
 
-def apply_word(word: str, coeff: float, amplitudes: dict[int, complex]) -> dict[int, complex]:
-    """Apply coeff * word to a sparse state map {basis int: amplitude}."""
-    x, z, phase = word_to_masks(word)
-    out: dict[int, complex] = {}
-    for b, amp in amplitudes.items():
-        sign = -1.0 if bin(b & z).count("1") % 2 else 1.0
-        key = b ^ x
-        out[key] = out.get(key, 0.0) + coeff * phase * sign * amp
-    return out
-
-
 def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     """Dense matrix over the full 2^n space; for small-n validation only."""
     n = h.n_qubits
@@ -235,10 +224,4 @@ def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
 
 def popcount(values: np.ndarray) -> np.ndarray:
     """Bit population count over an integer array."""
-    values = np.asarray(values)
-    out = np.zeros(values.shape, dtype=np.int64)
-    v = values.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
+    return np.bitwise_count(np.asarray(values))

@@ -2,10 +2,14 @@
 
 The qubit route restricts the basis to occupation strings with the requested
 particle number and S_z before diagonalizing (sparse Lanczos with a seeded
-start vector, dense fallback for small blocks). The determinant route builds
-the configuration-interaction matrix from Slater-Condon rules over spin
-orbitals and never touches the Pauli machinery, so the two paths check each
-other.
+start vector, dense fallback for small blocks). The sector matrix is built
+from the Pauli words grouped by X mask: each group flips every sector state
+by the same bits, found by binary search in the ascending state array, and
+weights it by a sum of signed Z phases, after the string-driven sigma build
+of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984). The determinant route
+builds the configuration-interaction matrix from Slater-Condon rules over
+spin orbitals and never touches the Pauli machinery, so the two paths check
+each other.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ import scipy.sparse.linalg
 from .exceptions import ConvergenceError, InputError
 from .integrals import IntegralSet
 from .molecule import Molecule, nuclear_repulsion
-from .qubits import QubitHamiltonian, word_to_masks
+from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
+MAX_SECTOR_BYTES = 2 * 2**30
+SIGN_BLOCK = 1 << 20  # (state, word) pairs per sign-matrix block
 DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
 LANCZOS_SEED = 0
@@ -37,75 +43,108 @@ class GroundState:
     sector: str
 
 
-def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float]):
-    """Occupation bitstrings in the requested (N, S_z) sector.
+def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float]) -> np.ndarray:
+    """Ascending occupation bitstrings in the requested (N, S_z) sector.
 
     Spin orbitals are interleaved (even bit = alpha), so S_z of a string is
-    half the difference of set even and odd bits.
+    half the difference of set even and odd bits. None leaves that quantum
+    number free.
     """
-    states = []
-    for b in range(1 << n_qubits):
-        n = bin(b).count("1")
-        if n_electrons is not None and n != n_electrons:
-            continue
-        if s_z is not None:
-            n_alpha = bin(b & 0x5555555555555555).count("1")
-            if (n_alpha - (n - n_alpha)) != round(2 * s_z):
-                continue
-        states.append(b)
-    return states
+    states = np.arange(1 << n_qubits, dtype=np.int64)
+    n = np.bitwise_count(states)
+    keep = np.ones(states.shape, dtype=bool)
+    if n_electrons is not None:
+        keep &= n == n_electrons
+    if s_z is not None:
+        n_alpha = np.bitwise_count(states & np.int64(0x5555555555555555))
+        keep &= 2 * n_alpha.astype(np.int64) - n == round(2 * s_z)
+    return states[keep]
 
 
-def _sector_basis_fast(n_qubits: int, n_electrons: int, s_z: float):
-    """Enumerate by choosing alpha and beta occupations separately."""
-    n_spatial = n_qubits // 2
-    twice_sz = round(2 * s_z)
-    n_alpha = (n_electrons + twice_sz) // 2
-    n_beta = n_electrons - n_alpha
-    if n_alpha < 0 or n_beta < 0 or n_alpha > n_spatial or n_beta > n_spatial:
-        return []
-    if (n_electrons + twice_sz) % 2 != 0:
-        return []
-    states = []
-    for occ_a in combinations(range(n_spatial), n_alpha):
-        mask_a = sum(1 << (2 * p) for p in occ_a)
-        for occ_b in combinations(range(n_spatial), n_beta):
-            states.append(mask_a + sum(1 << (2 * p + 1) for p in occ_b))
-    return sorted(states)
+def _x_mask_groups(h: QubitHamiltonian) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Parse every Pauli word into (x, z) masks and group the words by x.
 
-
-def _assemble_sector_matrix(h: QubitHamiltonian, states: list[int]) -> scipy.sparse.csr_matrix:
-    """Project the Pauli sum onto the sector basis.
-
-    Each Pauli word carries a phase of exactly +-1 or +-i, so real and
-    imaginary contributions accumulate separately; the imaginary part must
-    cancel for a Hermitian operator with real coefficients and is checked.
+    Returns (x, z, factors) per distinct x mask. factors has one row per word:
+    its coefficient times the real sign of its phase i^(number of Y), in
+    column 0 for an even Y count (real phase) and in column 1 for an odd one
+    (imaginary phase).
     """
-    index = {b: i for i, b in enumerate(states)}
+    words = list(h.terms)
+    letters = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    letters = letters.reshape(len(words), h.n_qubits)
+    bits = np.int64(1) << np.arange(h.n_qubits, dtype=np.int64)
+    is_y = letters == ord("Y")
+    x = np.where(is_y | (letters == ord("X")), bits, 0).sum(axis=1)
+    z = np.where(is_y | (letters == ord("Z")), bits, 0).sum(axis=1)
+    n_y = is_y.sum(axis=1)
+    coeffs = np.fromiter(h.terms.values(), dtype=float, count=len(words))
+    factors = np.zeros((len(words), 2))
+    factors[np.arange(len(words)), n_y % 2] = np.where(n_y % 4 < 2, coeffs, -coeffs)
+    order = np.argsort(x, kind="stable")
+    x, z, factors = x[order], z[order], factors[order]
+    bounds = np.append(np.unique(x, return_index=True)[1], len(x))
+    return [(x[lo], z[lo:hi], factors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _flip_hits(states: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """Columns j whose flipped state states[j] ^ x is in the sector, and its row indices."""
+    flipped = states ^ x
+    rows = np.searchsorted(states, flipped)
+    np.minimum(rows, len(states) - 1, out=rows)
+    cols = np.flatnonzero(states[rows] == flipped)
+    return cols, rows[cols]
+
+
+def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Project the Pauli sum onto the (ascending) sector basis.
+
+    The words sharing one x mask act as one bit-flip permutation times a
+    diagonal sum of signed Z phases, so each group adds at most one entry per
+    row and per column and the CSR arrays are filled in place, row by row. A
+    first pass counts the entries and refuses a matrix over MAX_SECTOR_BYTES
+    before anything of that size is allocated. Each Pauli word carries a
+    phase of exactly +-1 or +-i, so real and imaginary contributions
+    accumulate separately; the imaginary part must cancel for a Hermitian
+    operator with real coefficients and is checked.
+    """
     dim = len(states)
-    real_entries: list[tuple[int, int, float]] = []
-    imag_entries: list[tuple[int, int, float]] = []
-    for word, coeff in h.terms.items():
-        x, z, phase = word_to_masks(word)
-        bucket = real_entries if phase.imag == 0.0 else imag_entries
-        factor = coeff * (phase.real + phase.imag)
-        for j, b in enumerate(states):
-            i = index.get(b ^ x)
-            if i is None:
-                continue
-            sign = -1.0 if bin(b & z).count("1") % 2 else 1.0
-            bucket.append((i, j, factor * sign))
-
-    def to_csr(entries):
-        if not entries:
-            return scipy.sparse.csr_matrix((dim, dim))
-        rows, cols, vals = zip(*entries)
-        return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-
-    imag = to_csr(imag_entries)
-    if imag.nnz and np.abs(imag.data).max() > 1e-10:
-        raise InputError("Hamiltonian is not real in the occupation basis")
-    return to_csr(real_entries)
+    groups = _x_mask_groups(h)
+    per_row = np.zeros(dim, dtype=np.int64)
+    nnz = 0
+    for x, _z, _f in groups:
+        cols, _rows = _flip_hits(states, x)
+        per_row[cols] += 1  # the hit rows are the hit columns, flipped
+        nnz += len(cols)
+        # 12 bytes per entry (float64 value, int32 column), plus about 40
+        # vectors of the sector dimension: build buffers and the Lanczos basis
+        needed = 12 * nnz + 8 * 40 * dim
+        if needed > MAX_SECTOR_BYTES:
+            raise InputError(
+                f"sector of dimension {dim} needs {needed / 2**20:.0f} MB or more for "
+                f"its sparse matrix, over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit"
+            )
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(per_row, out=indptr[1:])
+    index_type = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(nnz, dtype=index_type)
+    data = np.empty(nnz)
+    fill = indptr[:-1].copy()
+    for x, z, factors in groups:
+        cols, rows = _flip_hits(states, x)
+        block = max(1, SIGN_BLOCK // len(z))
+        for lo in range(0, len(cols), block):
+            c, r = cols[lo:lo + block], rows[lo:lo + block]
+            signs = 1.0 - 2.0 * (np.bitwise_count(states[c, None] & z) & 1)
+            vals = signs @ factors
+            if np.abs(vals[:, 1]).max() > 1e-10:
+                raise InputError("Hamiltonian is not real in the occupation basis")
+            at = fill[r]
+            indices[at] = c
+            data[at] = vals[:, 0]
+            fill[r] += 1
+    return scipy.sparse.csr_matrix(
+        (data, indices, indptr.astype(index_type)), shape=(dim, dim)
+    )
 
 
 def ground_state(
@@ -126,15 +165,12 @@ def ground_state(
     if n_electrons is None:
         if n > 14:
             raise InputError(f"full-space search over {n} qubits is not supported; give a sector")
-        states = list(range(1 << n))
+        states = _sector_basis(n, None, None)
         sector = "full space"
     else:
-        if n % 2 == 0 and s_z is not None:
-            states = _sector_basis_fast(n, n_electrons, s_z)
-        else:
-            states = _sector_basis(n, n_electrons, s_z)
+        states = _sector_basis(n, n_electrons, s_z)
         sector = f"(n={n_electrons}, s_z={s_z})"
-    if not states:
+    if not states.size:
         raise InputError(f"empty sector {sector} for {n} qubits")
     mat = _assemble_sector_matrix(h, states)
     dim = len(states)

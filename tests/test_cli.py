@@ -134,6 +134,18 @@ def test_invalid_active_index_exit_code(water_file, tmp_path, capsys):
     assert "partition" in capsys.readouterr().err
 
 
+def test_oversized_sector_exit_code(water_file, tmp_path, monkeypatch, capsys):
+    import qembed.solver
+
+    monkeypatch.setattr(qembed.solver, "MAX_SECTOR_BYTES", 1000)
+    code = main([
+        "embed", "--geometry", water_file, "--active", "0,1", "--solver", "exact",
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == EXIT_CONFIG
+    assert "MB limit" in capsys.readouterr().err
+
+
 def test_population_localizer_path(tmp_path, water_file):
     out = tmp_path / "r.json"
     config = RunConfig(

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qembed.solver
 from qembed.exceptions import InputError
 from qembed.molecule import nuclear_repulsion
-from qembed.qubits import QubitHamiltonian, jordan_wigner, mo_transform, second_quantize
-from qembed.solver import fci_oracle, ground_state
+from qembed.qubits import (
+    QubitHamiltonian,
+    dense_matrix,
+    jordan_wigner,
+    mo_transform,
+    second_quantize,
+)
+from qembed.solver import _assemble_sector_matrix, _sector_basis, fci_oracle, ground_state
 
 
 def full_jw(system, constant=None):
@@ -129,9 +138,57 @@ def test_fci_orbital_limit(water):
 
 def test_ground_state_energy_below_diagonal(h2):
     ham = full_jw(h2)
-    from qembed.solver import _assemble_sector_matrix, _sector_basis_fast
-
-    states = _sector_basis_fast(4, 2, 0.0)
+    states = _sector_basis(4, 2, 0.0)
     mat = _assemble_sector_matrix(ham, states).toarray()
     gs = ground_state(ham, n_electrons=2, s_z=0)
     assert gs.energy <= np.diag(mat).min() + 1e-12
+
+
+@st.composite
+def pauli_sums_and_sectors(draw):
+    n = draw(st.integers(1, 8))
+    words = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-1.0, 1.0).map(lambda c: round(c, 3))
+    terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=12))
+    n_electrons = draw(st.none() | st.integers(0, n))
+    s_z = draw(st.none() | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    return QubitHamiltonian(n_qubits=n, terms=terms), n_electrons, s_z
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums_and_sectors())
+def test_sector_matrix_is_dense_matrix_restricted(case):
+    ham, n_electrons, s_z = case
+    n = ham.n_qubits
+    # reference enumeration: a plain loop over every bitstring
+    expected_states = [
+        b for b in range(1 << n)
+        if (n_electrons is None or bin(b).count("1") == n_electrons)
+        and (s_z is None
+             or 2 * bin(b & 0x5555).count("1") - bin(b).count("1") == round(2 * s_z))
+    ]
+    states = _sector_basis(n, n_electrons, s_z)
+    assert states.tolist() == expected_states
+    if not expected_states:
+        return
+    block = dense_matrix(ham)[np.ix_(states, states)]
+    if np.abs(block.imag).max() > 1e-10:
+        with pytest.raises(InputError, match="not real"):
+            _assemble_sector_matrix(ham, states)
+    else:
+        mat = _assemble_sector_matrix(ham, states).toarray()
+        assert np.abs(mat - block.real).max() <= 1e-12
+
+
+def test_odd_y_word_not_real_in_sector():
+    # XY is Hermitian, but in the N=1 sector its elements are +-i
+    ham = QubitHamiltonian(n_qubits=2, terms={"XY": 1.0})
+    with pytest.raises(InputError, match="not real"):
+        ground_state(ham, n_electrons=1, s_z=None)
+
+
+def test_oversized_sector_refused(h2, monkeypatch):
+    ham = full_jw(h2)
+    monkeypatch.setattr(qembed.solver, "MAX_SECTOR_BYTES", 1000)
+    with pytest.raises(InputError, match="MB limit"):
+        ground_state(ham, n_electrons=2, s_z=0)
