@@ -33,6 +33,7 @@ from .localize import (
 )
 from .molecule import Molecule, load_xyz, nuclear_repulsion, parse_xyz
 from .qubits import (
+    FermionOperator,
     MOIntegrals,
     QubitHamiltonian,
     jordan_wigner,
@@ -48,6 +49,7 @@ __all__ = [
     "BasisSet",
     "ConvergenceError",
     "EmbeddedProblem",
+    "FermionOperator",
     "GroundState",
     "InputError",
     "IntegralSet",

@@ -102,8 +102,9 @@ def _partition_for(config: RunConfig, scf, s, basis):
 def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) -> dict:
     """Execute geometry -> SCF -> partition -> embedding -> qubit map (+solve).
 
-    Returns a result dict holding the report payload and the embedded
-    Hamiltonian object under the key "_hamiltonian".
+    Returns a result dict holding the report payload plus, under private
+    keys, the embedded Hamiltonian ("_hamiltonian") and the full-system
+    integrals and RHF result ("_integrals", "_scf") for further use.
     """
     if mol is None:
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
@@ -171,6 +172,8 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
             "terms_embedded": h_emb.term_count(),
         },
         "_hamiltonian": h_emb,
+        "_integrals": integrals,
+        "_scf": scf,
     }
     if config.solver == "exact":
         gs = _stage("solver", ground_state, h_emb,
@@ -192,6 +195,7 @@ def cmd_embed(config: RunConfig) -> int:
     config.validate()
     report = run_embedding_pipeline(config)
     hamiltonian = report.pop("_hamiltonian")
+    del report["_integrals"], report["_scf"]
     ham_path = _hamiltonian_path(config.out)
     hamiltonian.dump(ham_path)
     report["hamiltonian_file"] = str(ham_path)
@@ -227,9 +231,7 @@ def _scan_point(args) -> dict:
         row["e_rhf"] = report["scf"]["e_rhf_total"]
         row["e_embed"] = report["energies"].get("e_wf_in_lowlevel")
         if report["molecule"]["n_ao"] <= MAX_FCI_ORBITALS:
-            basis = build_basis(mol)
-            integrals = compute_integrals(basis, mol)
-            row["e_fci"] = _round10(fci_oracle(mol, integrals))
+            row["e_fci"] = _round10(fci_oracle(mol, report["_integrals"], report["_scf"]))
             if row.get("e_embed") is not None:
                 row["log10_error"] = _round10(
                     float(np.log10(max(abs(row["e_embed"] - row["e_fci"]), 1e-16)))

@@ -2,9 +2,10 @@
 
 Spin orbitals are interleaved: qubit 2p is the alpha spin of spatial
 orbital p, qubit 2p+1 the beta spin. Pauli words are written with qubit 0
-as the first character. Internally Pauli strings are carried in symplectic
-form (x mask, z mask) with the operator X^x Z^z and an explicit phase, so
-products reduce to bit arithmetic.
+as the first character. Internally Pauli strings are carried as arrays of
+uint64 symplectic masks (x, z) for the operator X^x Z^z with a real phase,
+so a product of ladder operators reduces to bit arithmetic over all terms
+at once; this caps the map at 64 qubits.
 """
 
 from __future__ import annotations
@@ -14,8 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import InputError
+
 PRUNE_THRESHOLD = 1e-12
 IMAG_TOLERANCE = 1e-10
+MAX_JW_QUBITS = 64
+JW_BLOCK = 1 << 16  # Pauli strings expanded per Jordan-Wigner block
+_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)  # index = x bit + 2 * z bit
+_LETTER_CODES = str.maketrans("IXZY", "\0\1\2\3")
 
 
 @dataclass(frozen=True)
@@ -49,41 +56,40 @@ def mo_transform(h_ao: np.ndarray, eri_ao: np.ndarray, c_red: np.ndarray,
     return MOIntegrals(h=h, g=g, constant=constant)
 
 
-def second_quantize(mo: MOIntegrals) -> list[tuple[tuple[tuple[int, int], ...], float]]:
+@dataclass(frozen=True)
+class FermionOperator:
+    """constant + sum of coeffs[t] a+_i ... a_l over the rows of each product.
+
+    products holds (indices, coeffs) pairs: a (T, 2k) spin-orbital index
+    array, creators in the first k columns, and its (T,) coefficients. len()
+    is the number of terms, the constant counted when nonzero.
+    """
+
+    constant: float
+    products: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return int(self.constant != 0.0) + sum(len(c) for _, c in self.products)
+
+
+def second_quantize(mo: MOIntegrals) -> FermionOperator:
     """Expand the electronic Hamiltonian over interleaved spin orbitals.
 
-    Returns a list of (ladder operator sequence, coefficient) pairs, where
-    each ladder operator is (spin orbital index, 1 for creation / 0 for
-    annihilation). The two-electron part uses the chemists'-index identity
-    1/2 (pq|rs) a+_ps a+_rt a_st a_qs summed over spins s, t.
+    Integrals below PRUNE_THRESHOLD are dropped. The two-electron part uses
+    the chemists'-index identity 1/2 (pq|rs) a+_ps a+_rt a_st a_qs summed
+    over spins s, t, without the terms that vanish (i == j or k == l).
     """
-    m = mo.n_orbitals
-    terms: list[tuple[tuple[tuple[int, int], ...], float]] = []
-    if mo.constant != 0.0:
-        terms.append(((), mo.constant))
-    for p in range(m):
-        for q in range(m):
-            if abs(mo.h[p, q]) < PRUNE_THRESHOLD:
-                continue
-            for spin in (0, 1):
-                terms.append((((2 * p + spin, 1), (2 * q + spin, 0)), float(mo.h[p, q])))
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                for s in range(m):
-                    coeff = 0.5 * mo.g[p, q, r, s]
-                    if abs(coeff) < PRUNE_THRESHOLD:
-                        continue
-                    for sp in (0, 1):
-                        for tp in (0, 1):
-                            i, j = 2 * p + sp, 2 * r + tp
-                            k, l = 2 * s + tp, 2 * q + sp
-                            if i == j or k == l:
-                                continue
-                            terms.append(
-                                (((i, 1), (j, 1), (k, 0), (l, 0)), float(coeff))
-                            )
-    return terms
+    p, q = np.nonzero(np.abs(mo.h) >= PRUNE_THRESHOLD)
+    one_body = (2 * np.stack([p, q], axis=-1)[:, None] + np.arange(2)[:, None]).reshape(-1, 2)
+    one_coeffs = np.repeat(mo.h[p, q], 2)
+    half_g = 0.5 * mo.g
+    p, q, r, s = np.nonzero(np.abs(half_g) >= PRUNE_THRESHOLD)
+    sp, tp = np.divmod(np.arange(4), 2)  # the spins of p and r
+    two_body = (2 * np.stack([p, r, s, q], axis=-1)[:, None]
+                + np.stack([sp, tp, tp, sp], axis=-1)).reshape(-1, 4)
+    keep = (two_body[:, 0] != two_body[:, 1]) & (two_body[:, 2] != two_body[:, 3])
+    return FermionOperator(float(mo.constant), (
+        (one_body, one_coeffs), (two_body[keep], np.repeat(half_g[p, q, r, s], 4)[keep])))
 
 
 @dataclass
@@ -100,17 +106,14 @@ class QubitHamiltonian:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def sorted_terms(self) -> list[tuple[str, float]]:
-        return sorted(self.terms.items())
-
     def to_json_dict(self) -> dict:
         identity = "I" * self.n_qubits
         return {
             "n_qubits": self.n_qubits,
-            "constant": self.terms.get(identity, 0.0),
+            "constant": self.constant,
             "terms": [
                 {"pauli": word, "coeff": coeff}
-                for word, coeff in self.sorted_terms()
+                for word, coeff in sorted(self.terms.items())
                 if word != identity
             ],
         }
@@ -126,102 +129,98 @@ class QubitHamiltonian:
         terms = {t["pauli"]: float(t["coeff"]) for t in data["terms"]}
         if data.get("constant", 0.0) != 0.0:
             terms["I" * n] = float(data["constant"])
+        pauli_masks(terms, n)  # validates every word
         return cls(n_qubits=n, terms=terms)
 
 
-def _ladder_symplectic(index: int, creation: bool):
-    """JW image of one ladder operator as two symplectic strings.
+def pauli_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 (x, z) masks of Pauli words, so that word = i^(number of Y) X^x Z^z.
 
-    a_p = 1/2 (X_p + i Y_p) Z_{p-1} ... Z_0 and Y = i X Z, so the two terms
-    are 1/2 X_p Z_chain -/+ 1/2 X_p Z_p Z_chain (minus for annihilation,
-    plus for the creation-operator conjugate).
+    Raises InputError for a word whose length is not n_qubits or that has a
+    letter outside IXYZ.
     """
-    chain = (1 << index) - 1
-    x = 1 << index
-    sign = 0.5 if creation else -0.5
-    return [
-        (0.5, x, chain),
-        (sign, x, chain | x),
-    ]
+    if n_qubits > MAX_JW_QUBITS or any(len(word) != n_qubits for word in words):
+        raise InputError(f"Pauli words need {n_qubits} letters, at most {MAX_JW_QUBITS}")
+    raw = "".join(words).translate(_LETTER_CODES).encode("ascii", errors="replace")
+    codes = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), n_qubits)
+    if (codes > 3).any():
+        raise InputError("Pauli word with a letter outside IXYZ")
+    bits = np.uint64(1) << np.arange(n_qubits, dtype=np.uint64)
+    return ((codes & 1) * bits).sum(axis=1), ((codes >> 1) * bits).sum(axis=1)
 
 
-def _multiply(strings: dict, factors: list) -> dict:
-    """Right-multiply an accumulated {(x, z): phase} map by a 2-string factor."""
-    out: dict = {}
-    for (x1, z1), c1 in strings.items():
-        for c2, x2, z2 in factors:
-            sign = -1.0 if bin(z1 & x2).count("1") % 2 else 1.0
-            key = (x1 ^ x2, z1 ^ z2)
-            out[key] = out.get(key, 0.0) + sign * c1 * c2
-    return out
+def _pauli_words(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
+    """Words of (x, z) mask arrays, one table lookup for all letters."""
+    q = np.arange(n_qubits, dtype=np.uint64)
+    codes = ((x[:, None] >> q) & 1) + 2 * ((z[:, None] >> q) & 1)
+    return _LETTERS[codes].view(f"S{n_qubits}").ravel().astype(str).tolist()
 
 
-def jordan_wigner(fermion_terms, n_qubits: int) -> QubitHamiltonian:
+def _ladder_products(ops: np.ndarray, coeffs: np.ndarray):
+    """JW images of coeff * a+_i ... a_l for every row of ops, as (x, z, phase).
+
+    Each row has its creators first. a_p = 1/2 (X_p + i Y_p) Z_{p-1} ... Z_0
+    and Y = i X Z, so a ladder operator is 1/2 X_p Z_chain -/+ 1/2 X_p Z_p
+    Z_chain (minus for annihilation). Right-multiplying by it moves X_p past
+    the Z^z collected so far, a sign (-1)^(z_p), and doubles the strings.
+    """
+    x, z = np.zeros((2, len(ops), 1), dtype=np.uint64)
+    phase = np.asarray(coeffs, dtype=float)[:, None]
+    for col in range(ops.shape[1]):
+        bit = np.uint64(1) << ops[:, col, None].astype(np.uint64)
+        phase = np.where(z & bit, -0.5, 0.5) * phase
+        x ^= bit
+        z ^= bit - np.uint64(1)
+        branch = 1.0 if 2 * col < ops.shape[1] else -1.0
+        x = np.concatenate([x, x], axis=1)
+        z = np.concatenate([z, z ^ bit], axis=1)
+        phase = np.concatenate([phase, branch * phase], axis=1)
+    return x.ravel(), z.ravel(), phase.ravel()
+
+
+def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
     """Map a fermionic operator to a combined, pruned Pauli decomposition.
 
-    The input must be Hermitian; any imaginary residue above 1e-10 in a
-    combined coefficient is an error rather than something to discard.
+    Terms are expanded JW_BLOCK strings at a time and summed into a running
+    result. The input must be Hermitian; any imaginary residue above 1e-10
+    in a combined coefficient is an error rather than something to discard.
     """
-    accum: dict[tuple[int, int], complex] = {}
-    for ops, coeff in fermion_terms:
-        strings = {(0, 0): complex(coeff)}
-        for index, creation in ops:
-            if index >= n_qubits:
-                raise ValueError(f"spin orbital {index} outside {n_qubits} qubits")
-            strings = _multiply(strings, _ladder_symplectic(index, bool(creation)))
-        for key, val in strings.items():
-            accum[key] = accum.get(key, 0.0) + val
-    terms: dict[str, float] = {}
-    for (x, z), phase in accum.items():
-        n_y = bin(x & z).count("1")
-        coeff = phase * (-1j) ** n_y
-        if abs(coeff) < PRUNE_THRESHOLD:
-            continue
-        if abs(coeff.imag) > IMAG_TOLERANCE:
-            raise ValueError(
-                f"non-Hermitian input: Pauli coefficient {coeff} has imaginary part"
-            )
-        word = "".join(
-            "IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n_qubits)
-        )
-        terms[word] = float(coeff.real)
-    return QubitHamiltonian(n_qubits=n_qubits, terms=terms)
-
-
-def word_to_masks(word: str) -> tuple[int, int, complex]:
-    """Symplectic masks and phase for a Pauli word (qubit 0 = first char).
-
-    The returned phase converts X^x Z^z back into the literal word operator:
-    word = phase * X^x Z^z with phase = i^(number of Y letters).
-    """
-    x = z = 0
-    n_y = 0
-    for q, letter in enumerate(word):
-        if letter in ("X", "Y"):
-            x |= 1 << q
-        if letter in ("Z", "Y"):
-            z |= 1 << q
-        if letter == "Y":
-            n_y += 1
-    return x, z, 1j**n_y
+    if n_qubits > MAX_JW_QUBITS:
+        raise InputError(f"{n_qubits} qubits exceeds the Jordan-Wigner limit {MAX_JW_QUBITS}")
+    x = z = np.zeros(1, dtype=np.uint64)
+    phase = np.array([float(ops.constant)])
+    for indices, coeffs in ops.products:
+        if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
+            raise ValueError(f"spin orbital index outside {n_qubits} qubits")
+        step = max(1, JW_BLOCK >> indices.shape[1])
+        for lo in range(0, len(indices), step):
+            bx, bz, bp = _ladder_products(indices[lo:lo + step], coeffs[lo:lo + step])
+            # merge into the running result, which stays sorted by (x, z)
+            x, z, phase = np.r_[x, bx], np.r_[z, bz], np.r_[phase, bp]
+            order = np.lexsort((z, x))
+            x, z, phase = x[order], z[order], phase[order]
+            starts = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (z[1:] != z[:-1])])
+            x, z, phase = x[starts], z[starts], np.add.reduceat(phase, starts)
+    # X^x Z^z = (-i)^(number of Y) times the word
+    n_y = np.bitwise_count(x & z)
+    odd = n_y % 2 == 1
+    residue = np.abs(phase[odd]).max(initial=0.0)
+    if residue > IMAG_TOLERANCE:
+        raise ValueError(f"non-Hermitian input: Pauli coefficient with imaginary part {residue:.3g}")
+    kept = (np.abs(phase) >= PRUNE_THRESHOLD) & ~odd
+    values = np.where(n_y % 4 == 0, phase, -phase)[kept]
+    words = _pauli_words(x[kept], z[kept], n_qubits)
+    return QubitHamiltonian(n_qubits=n_qubits, terms=dict(zip(words, values.tolist())))
 
 
 def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     """Dense matrix over the full 2^n space; for small-n validation only."""
-    n = h.n_qubits
-    if n > 14:
-        raise ValueError(f"dense matrix for {n} qubits is too large")
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for word, coeff in h.terms.items():
-        x, z, phase = word_to_masks(word)
-        cols = np.arange(dim)
-        rows = cols ^ x
-        signs = 1.0 - 2.0 * (popcount(cols & z) % 2).astype(float)
-        mat[rows, cols] += coeff * phase * signs
+    if h.n_qubits > 14:
+        raise ValueError(f"dense matrix for {h.n_qubits} qubits is too large")
+    x, z = (m.astype(np.int64) for m in pauli_masks(h.terms, h.n_qubits))
+    cols = np.arange(1 << h.n_qubits)
+    mat = np.zeros((len(cols), len(cols)), dtype=complex)
+    for xw, zw, n_y, coeff in zip(x, z, np.bitwise_count(x & z), h.terms.values()):
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & zw) % 2)
+        mat[cols ^ xw, cols] += coeff * 1j ** int(n_y % 4) * signs
     return mat
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Bit population count over an integer array."""
-    return np.bitwise_count(np.asarray(values))

@@ -4,7 +4,7 @@ The qubit route restricts the basis to occupation strings with the requested
 particle number and S_z before diagonalizing (sparse Lanczos with a seeded
 start vector, dense fallback for small blocks). The sector matrix is built
 from the Pauli words grouped by X mask: each group flips every sector state
-by the same bits, found by binary search in the ascending state array, and
+by the same bits, looked up in a rank table over all bitstrings, and
 weights it by a sum of signed Z phases, after the string-driven sigma build
 of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984). The determinant route
 builds the configuration-interaction matrix from Slater-Condon rules over
@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 from .exceptions import ConvergenceError, InputError
 from .integrals import IntegralSet
 from .molecule import Molecule, nuclear_repulsion
-from .qubits import QubitHamiltonian
+from .qubits import QubitHamiltonian, pauli_masks
 from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
@@ -69,29 +69,21 @@ def _x_mask_groups(h: QubitHamiltonian) -> list[tuple[int, np.ndarray, np.ndarra
     column 0 for an even Y count (real phase) and in column 1 for an odd one
     (imaginary phase).
     """
-    words = list(h.terms)
-    letters = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    letters = letters.reshape(len(words), h.n_qubits)
-    bits = np.int64(1) << np.arange(h.n_qubits, dtype=np.int64)
-    is_y = letters == ord("Y")
-    x = np.where(is_y | (letters == ord("X")), bits, 0).sum(axis=1)
-    z = np.where(is_y | (letters == ord("Z")), bits, 0).sum(axis=1)
-    n_y = is_y.sum(axis=1)
-    coeffs = np.fromiter(h.terms.values(), dtype=float, count=len(words))
-    factors = np.zeros((len(words), 2))
-    factors[np.arange(len(words)), n_y % 2] = np.where(n_y % 4 < 2, coeffs, -coeffs)
+    x, z = (m.astype(np.int64) for m in pauli_masks(h.terms, h.n_qubits))
+    n_y = np.bitwise_count(x & z)
+    coeffs = np.fromiter(h.terms.values(), dtype=float, count=len(x))
+    factors = np.zeros((len(x), 2))
+    factors[np.arange(len(x)), n_y % 2] = np.where(n_y % 4 < 2, coeffs, -coeffs)
     order = np.argsort(x, kind="stable")
     x, z, factors = x[order], z[order], factors[order]
     bounds = np.append(np.unique(x, return_index=True)[1], len(x))
     return [(x[lo], z[lo:hi], factors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _flip_hits(states: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """Columns j whose flipped state states[j] ^ x is in the sector, and its row indices."""
-    flipped = states ^ x
-    rows = np.searchsorted(states, flipped)
-    np.minimum(rows, len(states) - 1, out=rows)
-    cols = np.flatnonzero(states[rows] == flipped)
+def _flip_hits(states: np.ndarray, rank: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """Columns j whose flipped state states[j] ^ x is in the sector (rank >= 0), and its rows."""
+    rows = rank[states ^ x]
+    cols = np.flatnonzero(rows >= 0)
     return cols, rows[cols]
 
 
@@ -100,8 +92,10 @@ def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sp
 
     The words sharing one x mask act as one bit-flip permutation times a
     diagonal sum of signed Z phases, so each group adds at most one entry per
-    row and per column and the CSR arrays are filled in place, row by row. A
-    first pass counts the entries and refuses a matrix over MAX_SECTOR_BYTES
+    row and per column and the CSR arrays are filled in place, row by row.
+    Flipped states are found through a rank table over all 2^n bitstrings
+    (int32, -1 outside the sector), built once for both passes. A first
+    pass counts the entries and refuses a matrix over MAX_SECTOR_BYTES
     before anything of that size is allocated. Each Pauli word carries a
     phase of exactly +-1 or +-i, so real and imaginary contributions
     accumulate separately; the imaginary part must cancel for a Hermitian
@@ -109,15 +103,18 @@ def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sp
     """
     dim = len(states)
     groups = _x_mask_groups(h)
+    rank = np.full(1 << h.n_qubits, -1, dtype=np.int32)
+    rank[states] = np.arange(dim, dtype=np.int32)
     per_row = np.zeros(dim, dtype=np.int64)
     nnz = 0
     for x, _z, _f in groups:
-        cols, _rows = _flip_hits(states, x)
+        cols, _rows = _flip_hits(states, rank, x)
         per_row[cols] += 1  # the hit rows are the hit columns, flipped
         nnz += len(cols)
-        # 12 bytes per entry (float64 value, int32 column), plus about 40
-        # vectors of the sector dimension: build buffers and the Lanczos basis
-        needed = 12 * nnz + 8 * 40 * dim
+        # 12 bytes per entry (float64 value, int32 column), about 40 vectors
+        # of the sector dimension (build buffers and the Lanczos basis), and
+        # the rank table
+        needed = 12 * nnz + 8 * 40 * dim + rank.nbytes
         if needed > MAX_SECTOR_BYTES:
             raise InputError(
                 f"sector of dimension {dim} needs {needed / 2**20:.0f} MB or more for "
@@ -130,7 +127,7 @@ def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sp
     data = np.empty(nnz)
     fill = indptr[:-1].copy()
     for x, z, factors in groups:
-        cols, rows = _flip_hits(states, x)
+        cols, rows = _flip_hits(states, rank, x)
         block = max(1, SIGN_BLOCK // len(z))
         for lo in range(0, len(cols), block):
             c, r = cols[lo:lo + block], rows[lo:lo + block]

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qembed.exceptions import InputError
 from qembed.molecule import nuclear_repulsion
 from qembed.qubits import (
+    FermionOperator,
     MOIntegrals,
     QubitHamiltonian,
+    _pauli_words,
     dense_matrix,
     jordan_wigner,
     mo_transform,
+    pauli_masks,
     second_quantize,
 )
 
@@ -37,16 +41,42 @@ def ladder_matrix(index: int, n_modes: int, creation: bool) -> np.ndarray:
     return mat
 
 
-def fermionic_dense(terms, n_modes: int) -> np.ndarray:
-    dim = 1 << n_modes
-    total = np.zeros((dim, dim))
-    eye = np.eye(dim)
-    for ops, coeff in terms:
-        mat = eye
-        for index, creation in ops:
-            mat = mat @ ladder_matrix(index, n_modes, bool(creation))
-        total = total + coeff * mat
+def fermionic_dense(mo: MOIntegrals) -> np.ndarray:
+    """c + sum h_pq a+_ps a_qs + 1/2 sum (pq|rs) a+_ps a+_rt a_st a_qs, straight from h and g."""
+    m = mo.n_orbitals
+    n_modes = 2 * m
+    up = [ladder_matrix(i, n_modes, True) for i in range(n_modes)]
+    down = [ladder_matrix(i, n_modes, False) for i in range(n_modes)]
+    total = mo.constant * np.eye(1 << n_modes)
+    for p in range(m):
+        for q in range(m):
+            for sp in range(2):
+                total += mo.h[p, q] * up[2 * p + sp] @ down[2 * q + sp]
+                for r in range(m):
+                    for s_ in range(m):
+                        for tp in range(2):
+                            total += 0.5 * mo.g[p, q, r, s_] * (
+                                up[2 * p + sp] @ up[2 * r + tp]
+                                @ down[2 * s_ + tp] @ down[2 * q + sp]
+                            )
     return total
+
+
+def one_body_operator(pairs, coeffs) -> FermionOperator:
+    """sum_t coeffs[t] a+_i a_j over the (i, j) pairs."""
+    return FermionOperator(0.0, ((np.array(pairs), np.array(coeffs, dtype=float)),))
+
+
+def random_integrals(seed: int, m: int, constant: float) -> MOIntegrals:
+    """Real symmetric h and 8-fold symmetric g, as real orbitals give them."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((m, m))
+    h = h + h.T
+    g = rng.standard_normal((m, m, m, m))
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    return MOIntegrals(h=h, g=g, constant=constant)
 
 
 # --- mo_transform -----------------------------------------------------------
@@ -95,18 +125,26 @@ def test_single_orbital_number_operators():
 
 
 def test_number_operator_identity():
-    ham = jordan_wigner([(((0, 1), (0, 0)), 1.0)], 1)
+    ham = jordan_wigner(one_body_operator([[0, 0]], [1.0]), 1)
     assert ham.terms == {"I": pytest.approx(0.5), "Z": pytest.approx(-0.5)}
 
 
-def test_jw_matches_direct_fermionic_matrix(h2):
-    mo = mo_transform(h2.ints.h_core, h2.ints.eri, h2.scf.C,
-                      constant=nuclear_repulsion(h2.mol))
-    terms = second_quantize(mo)
-    ham = jordan_wigner(terms, 4)
-    direct = fermionic_dense(terms, 4)
-    np.testing.assert_allclose(dense_matrix(ham).real, direct, atol=1e-10)
-    np.testing.assert_allclose(dense_matrix(ham).imag, 0.0, atol=1e-10)
+def test_hopping_matches_closed_form():
+    # a+_p a_q + a+_q a_p = 1/2 (X_p X_q + Y_p Y_q) Z_{p+1} ... Z_{q-1}
+    # (Seeley, Richard & Love, J. Chem. Phys. 137, 224109, 2012)
+    ham = jordan_wigner(one_body_operator([[0, 3], [3, 0]], [1.0, 1.0]), 4)
+    assert ham.terms == {"XZZX": pytest.approx(0.5), "YZZY": pytest.approx(0.5)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+       constant=st.floats(-10.0, 10.0))
+def test_jw_matches_direct_fermionic_matrix(seed, m, constant):
+    mo = random_integrals(seed, m, constant)
+    ham = jordan_wigner(second_quantize(mo), 2 * m)
+    mat = dense_matrix(ham)
+    np.testing.assert_allclose(mat.real, fermionic_dense(mo), atol=1e-10)
+    np.testing.assert_allclose(mat.imag, 0.0, atol=1e-10)
 
 
 def test_jw_hermitian_and_real(water):
@@ -117,7 +155,16 @@ def test_jw_hermitian_and_real(water):
 
 def test_jw_rejects_non_hermitian():
     with pytest.raises(ValueError, match="non-Hermitian"):
-        jordan_wigner([(((0, 1), (1, 0)), 1.0)], 2)  # a0+ a1 alone
+        jordan_wigner(one_body_operator([[0, 1]], [1.0]), 2)  # a0+ a1 alone
+
+
+def test_jw_qubit_and_index_limits():
+    top = jordan_wigner(one_body_operator([[63, 63]], [1.0]), 64)
+    assert top.terms == {"I" * 64: 0.5, "I" * 63 + "Z": -0.5}
+    with pytest.raises(InputError, match="limit 64"):
+        jordan_wigner(one_body_operator([[0, 0]], [1.0]), 65)
+    with pytest.raises(ValueError, match="outside 2 qubits"):
+        jordan_wigner(one_body_operator([[2, 2]], [1.0]), 2)
 
 
 def test_h2_term_count_is_fifteen(h2):
@@ -178,14 +225,7 @@ def test_water_qubit_counts(water):
 def test_jw_symmetry_commutators(seed):
     # random Hermitian two-orbital problem: the mapped operator commutes
     # with total particle number and total S_z
-    rng = np.random.default_rng(seed)
-    h = rng.standard_normal((2, 2))
-    h = h + h.T
-    g = rng.standard_normal((2, 2, 2, 2))
-    g = g + g.transpose(1, 0, 2, 3)
-    g = g + g.transpose(0, 1, 3, 2)
-    g = g + g.transpose(2, 3, 0, 1)
-    mo = MOIntegrals(h=h, g=g)
+    mo = random_integrals(seed, 2, 0.0)
     ham = dense_matrix(jordan_wigner(second_quantize(mo), 4))
     number = np.zeros((16, 16))
     s_z = np.zeros((16, 16))
@@ -213,6 +253,25 @@ def test_json_schema_and_ordering(tmp_path, h2):
     assert "IIII" not in words  # identity lives in "constant"
     back = QubitHamiltonian.from_json_dict(data)
     assert back.terms == pytest.approx(ham.terms)
+
+
+@pytest.mark.parametrize("word", ["ZZZ", "Z", "ZQ", "zz", "Zé"])
+def test_from_json_rejects_malformed_words(word):
+    data = {"n_qubits": 2, "constant": -1.0, "terms": [{"pauli": word, "coeff": 0.5}]}
+    with pytest.raises(InputError, match="Pauli word"):
+        QubitHamiltonian.from_json_dict(data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_pauli_masks_round_trip(words):
+    n = len(words[0])
+    x, z = pauli_masks(words, n)
+    assert _pauli_words(x, z, n) == words
+    for word, xw, zw in zip(words, x.tolist(), z.tolist()):
+        assert [(xw >> q) & 1 for q in range(n)] == [int(c in "XY") for c in word]
+        assert [(zw >> q) & 1 for q in range(n)] == [int(c in "ZY") for c in word]
 
 
 def test_dump_deterministic(tmp_path, h2):
