@@ -22,7 +22,6 @@ from .localize import Partition
 from .molecule import Molecule, nuclear_repulsion
 from .scf import SCFResult, fock_build, run_rhf, two_electron_matrix
 
-ENV_LEAK_WARN = 1e-3
 ENV_LEAK_FATAL = 0.1
 DEFAULT_MU = 1e6
 

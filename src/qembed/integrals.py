@@ -3,9 +3,12 @@
 Everything is evaluated with the Gaussian product theorem in a Hermite
 intermediate basis: expansion coefficients E couple Cartesian powers to
 Hermite Gaussians, and the Coulomb-type integrals contract those against
-a table of Hermite derivatives R of the Boys function. All recursions are
-vectorized over primitive combinations, which keeps the dense rank-4 ERI
-build tractable at desk scale (K up to ~30) in pure numpy.
+a table of Hermite derivatives R of the Boys function. One table holds every
+primitive pair of every AO pair, so S and T are array expressions over it,
+and V and the ERI tensor share one Hermite-Coulomb contraction (a nucleus is
+a ket with E_000 = 1; the ERI runs over fixed blocks of primitive quartets).
+This keeps the dense rank-4 ERI build tractable at desk scale (K up to ~30)
+in pure numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisFunction, BasisSet
+from .basis import CARTESIAN_POWERS, BasisSet
 from .molecule import Molecule
 
+ERI_BLOCK = 4096   # primitive quartets contracted per batch in eri_tensor
 _BOYS_SWITCH = 35.0
 _BOYS_SERIES_TERMS = 130
+_L_MAX = max(CARTESIAN_POWERS)
+# Hermite indices (t, u, v) of a pair density, t+u+v <= 2*_L_MAX, by total order
+_HERMITE = [
+    (t, u, n - t - u) for n in range(2 * _L_MAX + 1) for t in range(n + 1) for u in range(n - t + 1)
+]
 
 
 @dataclass(frozen=True)
@@ -142,170 +151,147 @@ def _hermite_coulomb(l_max: int, p, pc, t_arg):
     return rn[0]
 
 
-def _pair_batch(fa: BasisFunction, fb: BasisFunction):
-    """Flattened primitive-pair arrays (a, b, coeff product) for two AOs."""
-    a = np.repeat(fa.exponents, len(fb.exponents))
-    b = np.tile(fb.exponents, len(fa.exponents))
-    cc = np.repeat(fa.coeffs, len(fb.exponents)) * np.tile(fb.coeffs, len(fa.exponents))
-    return a, b, cc
+@dataclass(frozen=True)
+class _PairTable:
+    """Every primitive pair of every AO pair mu >= nu, sorted by pair index."""
+
+    mu: np.ndarray        # (n,) bra AO
+    nu: np.ndarray        # (n,) ket AO
+    pair: np.ndarray      # (n,) canonical pair index mu*(mu+1)/2 + nu, ascending
+    b: np.ndarray         # (n,) ket exponent
+    p: np.ndarray         # (n,) total exponent
+    center: np.ndarray    # (n, 3) Gaussian-product centre
+    cc: np.ndarray        # (n,) contraction-coefficient product
+    lb: np.ndarray        # (3, n) ket Cartesian powers
+    e: np.ndarray         # (3, j, t, n) E_d[l_a, j, t] at every ket power j <= l_b+2
+    density: np.ndarray   # (len(_HERMITE), n) Hermite density E_x[t] E_y[u] E_z[v]
 
 
-def _overlap_1d_tables(fa: BasisFunction, fb: BasisFunction, extra: int = 0):
-    """Per-direction E tables, padded so powers up to l+extra are available."""
-    a, b, cc = _pair_batch(fa, fb)
-    ab = fa.center - fb.center
-    tables = [
-        _hermite_expansion(fa.powers[d], fb.powers[d] + extra, a, b, ab[d])
+def _pair_index(mu, nu):
+    """Canonical index of the unordered AO pair (mu, nu)."""
+    hi, lo = np.maximum(mu, nu), np.minimum(mu, nu)
+    return hi * (hi + 1) // 2 + lo
+
+
+def _pair_table(basis: BasisSet) -> _PairTable:
+    funcs = basis.functions
+    ao = np.repeat(np.arange(len(funcs)), [len(f.exponents) for f in funcs])
+    exps = np.concatenate([f.exponents for f in funcs])
+    coeffs = np.concatenate([f.coeffs for f in funcs])
+    centers = np.array([f.center for f in funcs])[ao]
+    powers = np.array([f.powers for f in funcs])[ao].T
+    i, j = np.nonzero(ao[:, None] >= ao[None, :])
+    pair = _pair_index(ao[i], ao[j])
+    order = np.argsort(pair, kind="stable")
+    i, j, pair = i[order], j[order], pair[order]
+    a, b = exps[i], exps[j]
+    ab = centers[i] - centers[j]
+    # gather each direction's table at the bra power: (j, t, n)
+    e = np.stack([
+        np.take_along_axis(
+            _hermite_expansion(_L_MAX, _L_MAX + 2, a, b, ab[:, d]),
+            powers[d, i][None, None, None, :], axis=0,
+        )[0]
         for d in range(3)
-    ]
-    return a, b, cc, tables
+    ])
+    lb = powers[:, j]
+    ex, ey, ez = np.take_along_axis(e, lb[:, None, None, :], axis=1)[:, 0]
+    density = np.array([ex[t] * ey[u] * ez[v] for t, u, v in _HERMITE])
+    return _PairTable(
+        mu=ao[i], nu=ao[j], pair=pair, b=b, p=a + b,
+        center=(a[:, None] * centers[i] + b[:, None] * centers[j]) / (a + b)[:, None],
+        cc=coeffs[i] * coeffs[j], lb=lb, e=e, density=density,
+    )
+
+
+def _ket_overlap_1d(tab: _PairTable, shift: int) -> np.ndarray:
+    """(3, n) one-dimensional overlaps E_d[l_a, l_b+shift, 0].
+
+    A negative ket power is clipped to 0; every caller multiplies it by zero.
+    """
+    j = np.maximum(tab.lb + shift, 0)
+    return np.take_along_axis(tab.e[:, :, 0], j[:, None, :], axis=1)[:, 0]
+
+
+def _scatter_pairs(tab: _PairTable, values: np.ndarray, k: int) -> np.ndarray:
+    """Sum per-primitive-pair values into a symmetric (K, K) matrix."""
+    out = np.zeros((k, k))
+    np.add.at(out, (tab.mu, tab.nu), values)
+    return out + np.tril(out, -1).T
 
 
 def overlap_matrix(basis: BasisSet) -> np.ndarray:
     """AO overlap via the Gaussian product theorem; exact for s/p Cartesians."""
-    k = basis.n_functions
-    s = np.zeros((k, k))
-    for mu in range(k):
-        for nu in range(mu, k):
-            fa, fb = basis.functions[mu], basis.functions[nu]
-            a, b, cc, tab = _overlap_1d_tables(fa, fb)
-            p = a + b
-            pref = (np.pi / p) ** 1.5
-            val = cc * pref
-            for d in range(3):
-                val = val * tab[d][fa.powers[d], fb.powers[d], 0]
-            s[mu, nu] = s[nu, mu] = val.sum()
-    return s
+    tab = _pair_table(basis)
+    s = _ket_overlap_1d(tab, 0).prod(axis=0)
+    return _scatter_pairs(tab, tab.cc * (np.pi / tab.p) ** 1.5 * s, basis.n_functions)
 
 
 def kinetic_matrix(basis: BasisSet) -> np.ndarray:
     """Kinetic energy matrix from power-shifted overlaps per direction."""
-    k = basis.n_functions
-    t_mat = np.zeros((k, k))
-    for mu in range(k):
-        for nu in range(mu, k):
-            fa, fb = basis.functions[mu], basis.functions[nu]
-            a, b, cc, tab = _overlap_1d_tables(fa, fb, extra=2)
-            p = a + b
-            pref = (np.pi / p) ** 1.5
-
-            def s1d(d, shift):
-                j = fb.powers[d] + shift
-                if j < 0:
-                    return np.zeros_like(a)
-                return tab[d][fa.powers[d], j, 0]
-
-            total = np.zeros_like(a)
-            for d in range(3):
-                lb = fb.powers[d]
-                td = (
-                    -2.0 * b * b * s1d(d, 2)
-                    + b * (2 * lb + 1) * s1d(d, 0)
-                    - 0.5 * lb * (lb - 1) * s1d(d, -2)
-                )
-                for o in range(3):
-                    if o != d:
-                        td = td * s1d(o, 0)
-                total += td
-            t_mat[mu, nu] = t_mat[nu, mu] = (cc * pref * total).sum()
-    return t_mat
+    tab = _pair_table(basis)
+    s_m2, s_0, s_p2 = (_ket_overlap_1d(tab, shift) for shift in (-2, 0, 2))
+    lb, b = tab.lb, tab.b
+    t1d = -2.0 * b * b * s_p2 + b * (2 * lb + 1) * s_0 - 0.5 * lb * (lb - 1) * s_m2
+    total = sum(t1d[d] * s_0[(d + 1) % 3] * s_0[(d + 2) % 3] for d in range(3))
+    return _scatter_pairs(tab, tab.cc * (np.pi / tab.p) ** 1.5 * total, basis.n_functions)
 
 
-def _pair_hermite_density(fa: BasisFunction, fb: BasisFunction):
-    """Combined E[t,u,v] tensor and Gaussian-product data for one AO pair."""
-    a, b, cc, tab = _overlap_1d_tables(fa, fb)
-    p = a + b
-    centers = (a[:, None] * fa.center + b[:, None] * fb.center) / p[:, None]
-    l_tot = sum(fa.powers) + sum(fb.powers)
-    nt = [fa.powers[d] + fb.powers[d] + 1 for d in range(3)]
-    e_comb = np.zeros((nt[0], nt[1], nt[2], len(a)))
-    ex, ey, ez = (tab[d][fa.powers[d], fb.powers[d]] for d in range(3))
-    for t in range(nt[0]):
-        for u in range(nt[1]):
-            for v in range(nt[2]):
-                e_comb[t, u, v] = ex[t] * ey[u] * ez[v]
-    return p, centers, cc, e_comb, l_tot
+def _hermite_contract(alpha, pq, d_bra, d_ket):
+    """Sum over i, j of d_bra[i] (-1)^(t'+u'+v') d_ket[j] R[t+t', u+u', v+v'].
+
+    The densities hold the leading rows of _HERMITE ((t,u,v) for bra row i,
+    (t',u',v') for ket row j); alpha is the reduced exponent and pq the
+    (..., 3) distance between the two charge centres.
+    """
+    l_max = sum(_HERMITE[len(d_bra) - 1]) + sum(_HERMITE[len(d_ket) - 1])
+    r = _hermite_coulomb(l_max, alpha, pq, alpha * np.sum(pq * pq, axis=-1))
+    signed = [(-1) ** sum(h) * dk for h, dk in zip(_HERMITE, d_ket)]
+    total = 0.0
+    for (t, u, v), db in zip(_HERMITE, d_bra):
+        ket = sum(dk * r[(t + tt, u + uu, v + vv)] for (tt, uu, vv), dk in zip(_HERMITE, signed))
+        total = total + db * ket
+    return total
 
 
 def nuclear_attraction_matrix(basis: BasisSet, mol: Molecule) -> np.ndarray:
     """Electron-nucleus attraction matrix (attractive, negative-definite)."""
-    k = basis.n_functions
-    v = np.zeros((k, k))
-    charges = mol.charges()
-    coords = mol.positions()
-    for mu in range(k):
-        for nu in range(mu, k):
-            fa, fb = basis.functions[mu], basis.functions[nu]
-            p, centers, cc, e_comb, l_tot = _pair_hermite_density(fa, fb)
-            acc = 0.0
-            for z, rc in zip(charges, coords):
-                pc = centers - rc
-                r_tab = _hermite_coulomb(l_tot, p, pc, p * np.sum(pc * pc, axis=-1))
-                term = np.zeros_like(p)
-                for t, u, w in np.ndindex(e_comb.shape[:3]):
-                    term += e_comb[t, u, w] * r_tab[(t, u, w)]
-                acc -= z * np.sum(cc * (2.0 * np.pi / p) * term)
-            v[mu, nu] = v[nu, mu] = acc
-    return v
-
-
-def core_hamiltonian(basis: BasisSet, mol: Molecule) -> np.ndarray:
-    return kinetic_matrix(basis) + nuclear_attraction_matrix(basis, mol)
+    tab = _pair_table(basis)
+    pc = tab.center[None] - mol.positions()[:, None]   # (atoms, n, 3)
+    # a point charge is a ket density with only E_000 = 1 and infinite exponent
+    per_atom = _hermite_contract(tab.p, pc, tab.density, np.ones((1, 1)))
+    values = -(mol.charges() @ per_atom) * tab.cc * 2.0 * np.pi / tab.p
+    return _scatter_pairs(tab, values, basis.n_functions)
 
 
 def eri_tensor(basis: BasisSet) -> np.ndarray:
-    """Full (mu nu | lam sig) tensor, built over canonical index quadruples.
+    """Full (mu nu | lam sig) tensor from primitive quartets with bra pair >= ket pair.
 
-    Unique quartets are evaluated once and scattered to all eight
-    permutation images; cost is dominated by the Hermite contraction over
-    primitive quartets, vectorized per shell-pair batch.
+    Quartets are contracted ERI_BLOCK at a time and summed per pair of AO
+    pairs; one gather then fills all eight permutation images.
     """
+    tab = _pair_table(basis)
     k = basis.n_functions
-    pairs = {}
-    for mu in range(k):
-        for nu in range(mu + 1):
-            pairs[(mu, nu)] = _pair_hermite_density(
-                basis.functions[mu], basis.functions[nu]
-            )
-    eri = np.zeros((k, k, k, k))
-    pair_keys = list(pairs.keys())
-    index_of = {key: i for i, key in enumerate(pair_keys)}
-    for (mu, nu) in pair_keys:
-        p1, cen1, cc1, e1, l1 = pairs[(mu, nu)]
-        n1 = len(p1)
-        for (lam, sig) in pair_keys:
-            if index_of[(lam, sig)] > index_of[(mu, nu)]:
-                continue
-            p2, cen2, cc2, e2, l2 = pairs[(lam, sig)]
-            n2 = len(p2)
-            # batch over all primitive-pair combinations of bra and ket
-            pa = np.repeat(p1, n2)
-            pb = np.tile(p2, n1)
-            alpha = pa * pb / (pa + pb)
-            pq = np.repeat(cen1, n2, axis=0) - np.tile(cen2, (n1, 1))
-            r_tab = _hermite_coulomb(l1 + l2, alpha, pq, alpha * np.sum(pq * pq, axis=-1))
-            coeff = (
-                np.repeat(cc1, n2)
-                * np.tile(cc2, n1)
-                * 2.0
-                * np.pi**2.5
-                / (pa * pb * np.sqrt(pa + pb))
-            )
-            val = np.zeros_like(alpha)
-            nz1 = np.argwhere(np.any(np.abs(e1) > 0, axis=-1))
-            nz2 = np.argwhere(np.any(np.abs(e2) > 0, axis=-1))
-            for t, u, w in nz1:
-                e1b = np.repeat(e1[t, u, w], n2)
-                for tt, uu, ww in nz2:
-                    sign = -1.0 if (tt + uu + ww) % 2 else 1.0
-                    e2b = np.tile(e2[tt, uu, ww], n1)
-                    val += sign * e1b * e2b * r_tab[(t + tt, u + uu, w + ww)]
-            value = float(np.sum(coeff * val))
-            for (m, n) in ((mu, nu), (nu, mu)):
-                for (l, s) in ((lam, sig), (sig, lam)):
-                    eri[m, n, l, s] = value
-                    eri[l, s, m, n] = value
-    return eri
+    # the ket rows of bra row r are the table prefix with pair index <= pair[r]
+    n_ket = np.searchsorted(tab.pair, tab.pair, side="right")
+    ends = np.cumsum(n_ket)
+    n_quartets = int(ends[-1])
+    pair_sums = np.zeros((k * (k + 1) // 2,) * 2)
+    for start in range(0, n_quartets, ERI_BLOCK):
+        q = np.arange(start, min(start + ERI_BLOCK, n_quartets))
+        bra = np.searchsorted(ends, q, side="right")
+        ket = q - (ends[bra] - n_ket[bra])
+        p, pk = tab.p[bra], tab.p[ket]
+        alpha = p * pk / (p + pk)
+        values = _hermite_contract(
+            alpha, tab.center[bra] - tab.center[ket], tab.density[:, bra], tab.density[:, ket]
+        )
+        values *= tab.cc[bra] * tab.cc[ket] * 2.0 * np.pi**2.5 / (p * pk * np.sqrt(p + pk))
+        np.add.at(pair_sums, (tab.pair[bra], tab.pair[ket]), values)
+    pair_sums += np.tril(pair_sums, -1).T
+    ao = np.arange(k)
+    index = _pair_index(ao[:, None], ao[None, :])
+    return pair_sums[index[:, :, None, None], index[None, None]]
 
 
 def compute_integrals(basis: BasisSet, mol: Molecule) -> IntegralSet:
@@ -319,18 +305,15 @@ def compute_integrals(basis: BasisSet, mol: Molecule) -> IntegralSet:
 
 def dump_integrals(integrals: IntegralSet, path) -> None:
     """Write S, h_core and the ERI tensor as index/value text for cross-checks."""
+    k = integrals.n_functions
+    rows, cols = np.tril_indices(k)              # AO pairs in canonical order
+    bra, ket = np.tril_indices(len(rows))        # quartets with bra pair >= ket pair
+    quartets = np.stack([rows[bra], cols[bra], rows[ket], cols[ket]])
+    values = integrals.eri[tuple(quartets)]
+    keep = np.abs(values) > 1e-14
     with open(path, "w") as fh:
         for name, mat in (("S", integrals.S), ("H", integrals.h_core)):
-            for (i, j), val in np.ndenumerate(mat):
-                if j >= i:
-                    fh.write(f"{name} {i} {j} {val:.15e}\n")
-        eri = integrals.eri
-        k = eri.shape[0]
-        for i in range(k):
-            for j in range(i + 1):
-                for l in range(i + 1):
-                    for s in range(l + 1):
-                        if l == i and s > j:
-                            continue
-                        if abs(eri[i, j, l, s]) > 1e-14:
-                            fh.write(f"ERI {i} {j} {l} {s} {eri[i, j, l, s]:.15e}\n")
+            fh.writelines(f"{name} {i} {j} {mat[i, j]:.15e}\n" for i, j in zip(*np.triu_indices(k)))
+        fh.writelines(
+            f"ERI {i} {j} {l} {s} {v:.15e}\n" for (i, j, l, s), v in zip(quartets[:, keep].T, values[keep])
+        )

@@ -2,8 +2,9 @@
 
 The oracles here use only textbook formulas for s-type Gaussians (with the
 Boys function written in terms of math.erf) and high-precision mpmath
-references for the Boys function itself; none of them share code with the
-production Hermite-recursion path.
+references for the Boys function itself; p-type values are derivatives of the
+s formulas with respect to the orbital centre. None of them share code with
+the production Hermite-recursion path.
 """
 
 import math
@@ -79,6 +80,100 @@ def contracted_s(fn, funcs, indices, centers):
             args.append(f.exponents[k])
         total += coeff * fn(*args, *centers)
     return total
+
+
+# --- p shells by differentiation ---------------------------------------------
+# (x - A_x) exp(-a|r-A|^2) = (1/2a) d/dA_x exp(-a|r-A|^2): a p-type integral is
+# the derivative of the s-type closed form above with respect to the centre of
+# its p function, taken here with a five-point central difference.
+
+FD_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))   # / (12 h)
+
+
+def p_primitive(fn, powers, h):
+    """Primitive formula for AOs with Cartesian powers `powers` (each s or p)."""
+    n = len(powers)
+
+    def wrapped(*args):
+        exps, centers = args[:n], list(args[n:])
+        for m, pw in enumerate(powers):
+            if any(pw):
+                inner = p_primitive(fn, powers[:m] + ((0, 0, 0),) + powers[m + 1:], h)
+                step = h * np.array(pw, dtype=float)
+                total = 0.0
+                for k, w in FD_STENCIL:
+                    shifted = centers[:m] + [centers[m] + k * step] + centers[m + 1:]
+                    total += w * inner(*exps, *shifted)
+                return total / (12.0 * h * 2.0 * exps[m])
+        return fn(*args)
+
+    return wrapped
+
+
+def nuclear_sum(mol):
+    """Primitive attraction to every nucleus of mol."""
+    return lambda a, b, ra, rb: sum(prim_nuclear(a, b, ra, rb, at.position, at.z) for at in mol.atoms)
+
+
+def contracted_p(fn, funcs, indices, h=1e-3):
+    powers = tuple(funcs[i].powers for i in indices)
+    return contracted_s(p_primitive(fn, powers, h), funcs, indices, [funcs[i].center for i in indices])
+
+
+def tilted(xyz):
+    """The molecule turned about a generic axis, so no p component vanishes by symmetry."""
+    mol = parse_xyz(xyz)
+    a, b = 0.61, -1.07
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(a), -np.sin(a)], [0.0, np.sin(a), np.cos(a)]])
+    rot = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0], [-np.sin(b), 0.0, np.cos(b)]]) @ rot
+    return Molecule(tuple(Atom(at.symbol, at.z, rot @ at.position + 0.3) for at in mol.atoms))
+
+
+@pytest.fixture(scope="module")
+def tilted_water():
+    from conftest import XYZ
+
+    mol = tilted(XYZ["water"])
+    basis = build_basis(mol)
+    return mol, basis, compute_integrals(basis, mol)
+
+
+def test_p_shell_one_electron_by_differentiation(tilted_water):
+    mol, basis, ints = tilted_water
+    funcs = basis.functions
+    for p in (2, 3, 4):           # O 2p_x, 2p_y, 2p_z
+        for hs in (5, 6):         # H 1s
+            s = contracted_p(prim_overlap, funcs, [p, hs])
+            t = contracted_p(prim_kinetic, funcs, [p, hs])
+            v = contracted_p(nuclear_sum(mol), funcs, [p, hs])
+            assert abs(s) > 1e-3
+            assert ints.S[p, hs] == pytest.approx(s, abs=1e-10)
+            assert ints.T[p, hs] == pytest.approx(t, abs=1e-10)
+            assert ints.V[p, hs] == pytest.approx(v, abs=1e-10)
+
+
+def test_p_shell_eri_by_differentiation(tilted_water):
+    _, basis, ints = tilted_water
+    for quartet in [(2, 5, 6, 6), (3, 0, 5, 6), (4, 6, 1, 5), (5, 6, 2, 6)]:
+        expected = contracted_p(prim_eri, basis.functions, list(quartet))
+        assert ints.eri[quartet] == pytest.approx(expected, abs=1e-10)
+
+
+def test_p_p_one_electron_by_mixed_differentiation():
+    mol = tilted("2\n\nC 0 0 0\nO 0 0 1.128")
+    basis = build_basis(mol)
+    ints = compute_integrals(basis, mol)
+    funcs = basis.functions
+    # rounding in a mixed difference grows as 1/h^2; at h = 4e-3 the total
+    # error is about 2e-11 for S, 4e-11 for T and 4e-10 for V (|V| up to 2.5)
+    for c in (2, 3, 4):           # C 2p
+        for o in (7, 8, 9):       # O 2p
+            s = contracted_p(prim_overlap, funcs, [c, o], h=4e-3)
+            t = contracted_p(prim_kinetic, funcs, [c, o], h=4e-3)
+            v = contracted_p(nuclear_sum(mol), funcs, [c, o], h=4e-3)
+            assert ints.S[c, o] == pytest.approx(s, abs=1e-10)
+            assert ints.T[c, o] == pytest.approx(t, abs=1e-10)
+            assert ints.V[c, o] == pytest.approx(v, abs=2e-9)
 
 
 # --- Boys function ----------------------------------------------------------
@@ -254,6 +349,15 @@ def test_eri_eightfold_symmetry(data):
         (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
     ]:
         assert eri[perm] == pytest.approx(ref, abs=1e-12)
+
+
+def test_eri_block_seams(water, monkeypatch):
+    # 101 divides neither water's 32,886 primitive quartets nor any bra row's
+    # ket range (multiples of 9), so blocks end mid-row and the last is partial
+    import qembed.integrals
+
+    monkeypatch.setattr(qembed.integrals, "ERI_BLOCK", 101)
+    np.testing.assert_allclose(eri_tensor(water.basis), water.ints.eri, rtol=0, atol=1e-14)
 
 
 def test_eri_positive_semidefinite_as_matrix(water):
