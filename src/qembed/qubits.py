@@ -178,29 +178,57 @@ def _ladder_products(ops: np.ndarray, coeffs: np.ndarray):
     return x.ravel(), z.ravel(), phase.ravel()
 
 
+def _merge(xs: list, zs: list, phases: list):
+    """Sum lists of (x, z, phase) string arrays into one result sorted by (x, z).
+
+    Each list is emptied as soon as it is joined, so at most five arrays of
+    the joined length are live at once.
+    """
+    x = np.concatenate(xs)
+    xs.clear()
+    z = np.concatenate(zs)
+    zs.clear()
+    order = np.lexsort((z, x))
+    x = x[order]
+    z = z[order]
+    phase = np.concatenate(phases)
+    phases.clear()
+    phase = phase[order]
+    starts = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (z[1:] != z[:-1])])
+    return x[starts], z[starts], np.add.reduceat(phase, starts)
+
+
 def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
     """Map a fermionic operator to a combined, pruned Pauli decomposition.
 
-    Terms are expanded JW_BLOCK strings at a time and summed into a running
-    result. The input must be Hermitian; any imaginary residue above 1e-10
-    in a combined coefficient is an error rather than something to discard.
+    Terms are expanded JW_BLOCK strings at a time. Expanded blocks wait until
+    they hold as many strings as the running result and are then summed into
+    it with one sort, so each string is re-sorted O(log) times. The input
+    must be Hermitian; any imaginary residue above 1e-10 in a combined
+    coefficient is an error rather than something to discard.
     """
     if n_qubits > MAX_JW_QUBITS:
         raise InputError(f"{n_qubits} qubits exceeds the Jordan-Wigner limit {MAX_JW_QUBITS}")
-    x = z = np.zeros(1, dtype=np.uint64)
-    phase = np.array([float(ops.constant)])
+    # the running result, then the blocks waiting to be merged into it
+    xs, zs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
+    phases = [np.array([float(ops.constant)])]
+    n_result, n_pending = 1, 0
     for indices, coeffs in ops.products:
         if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
             raise ValueError(f"spin orbital index outside {n_qubits} qubits")
         step = max(1, JW_BLOCK >> indices.shape[1])
         for lo in range(0, len(indices), step):
             bx, bz, bp = _ladder_products(indices[lo:lo + step], coeffs[lo:lo + step])
-            # merge into the running result, which stays sorted by (x, z)
-            x, z, phase = np.r_[x, bx], np.r_[z, bz], np.r_[phase, bp]
-            order = np.lexsort((z, x))
-            x, z, phase = x[order], z[order], phase[order]
-            starts = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (z[1:] != z[:-1])])
-            x, z, phase = x[starts], z[starts], np.add.reduceat(phase, starts)
+            xs.append(bx)
+            zs.append(bz)
+            phases.append(bp)
+            n_pending += len(bx)
+            # the lists hold the only references, so a merge can free each part
+            del bx, bz, bp
+            if n_pending >= n_result:
+                xs, zs, phases = ([part] for part in _merge(xs, zs, phases))
+                n_result, n_pending = len(xs[0]), 0
+    x, z, phase = _merge(xs, zs, phases)
     # X^x Z^z = (-i)^(number of Y) times the word
     n_y = np.bitwise_count(x & z)
     odd = n_y % 2 == 1

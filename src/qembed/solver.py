@@ -7,15 +7,19 @@ from the Pauli words grouped by X mask: each group flips every sector state
 by the same bits, looked up in a rank table over all bitstrings, and
 weights it by a sum of signed Z phases, after the string-driven sigma build
 of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984). The determinant route
-builds the configuration-interaction matrix from Slater-Condon rules over
-spin orbitals and never touches the Pauli machinery, so the two paths check
+builds the dense configuration-interaction matrix from Slater-Condon rules
+as array expressions: determinants are int64 occupation masks, the diagonal
+comes from the occupation matrix, and blocks of determinant pairs that
+differ by one or two spin orbitals read their indices from the differing
+bits and their fermionic signs from popcounts (bit-string determinant CI as
+in Olsen et al., J. Chem. Phys. 89, 2185 (1988)). It enumerates its own
+determinants and never touches the Pauli machinery, so the two paths check
 each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -189,21 +193,22 @@ def ground_state(
 # --- determinant-space FCI oracle -----------------------------------------
 
 MAX_FCI_ORBITALS = 8
+FCI_PAIR_BLOCK = 1 << 15  # determinant pairs per Slater-Condon block
 
 
-def _spin_h(h_mo: np.ndarray) -> np.ndarray:
-    m = h_mo.shape[0]
-    h_so = np.zeros((2 * m, 2 * m))
-    h_so[0::2, 0::2] = h_mo
-    h_so[1::2, 1::2] = h_mo
-    return h_so
+def _spin_strings(k: int, n: int, spin: int) -> np.ndarray:
+    """Occupation masks of every n-electron string over k spatial orbitals.
+
+    Spatial orbital p sits on spin-orbital bit 2p + spin (even bit = alpha).
+    """
+    strings = np.arange(1 << k, dtype=np.int64)
+    strings = strings[np.bitwise_count(strings) == n]
+    return sum(((strings >> p) & 1) << (2 * p + spin) for p in range(k))
 
 
-def _parity(occupied: tuple[int, ...], removed: list[int], added: list[int]) -> float:
-    posr = sum(occupied.index(r) for r in removed)
-    final = sorted(set(occupied) - set(removed) | set(added))
-    posa = sum(final.index(a) for a in added)
-    return -1.0 if (posr + posa) % 2 else 1.0
+def _below(dets: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Number of occupied spin orbitals of each determinant below its single bit."""
+    return np.bitwise_count(dets & (bits - 1))
 
 
 def fci_oracle(
@@ -216,59 +221,76 @@ def fci_oracle(
 
     Builds its own MO integrals from the canonical SCF orbitals and applies
     Slater-Condon rules directly; shares nothing with the qubit pipeline.
+    Determinants are int64 occupation masks over interleaved spin orbitals.
+    The pairs j > i are walked in blocks of FCI_PAIR_BLOCK; in each block the
+    pairs differing by one or two spin orbitals get their element from the
+    antisymmetrized integrals <pq||rs> and the fermionic sign of
+    a+_r a+_s a_q a_p, read from popcounts of the occupation below each index.
     """
     if scf is None:
         scf = run_rhf(mol, integrals)
     k = integrals.n_functions
     if k > MAX_FCI_ORBITALS:
         raise InputError(f"{k} orbitals exceeds the FCI oracle limit {MAX_FCI_ORBITALS}")
+    n_e = mol.n_electrons
+    twice_sz = round(2 * s_z)
+    if (n_e + twice_sz) % 2:
+        raise InputError(f"s_z={s_z} is impossible for {n_e} electrons")
+    n_alpha = (n_e + twice_sz) // 2
+    n_beta = n_e - n_alpha
+    if not (0 <= n_alpha <= k and 0 <= n_beta <= k):
+        raise InputError(f"empty determinant space (n={n_e}, s_z={s_z}) for {k} orbitals")
     c = scf.C
     h_mo = c.T @ integrals.h_core @ c
     g_mo = np.einsum("pqrs,pi,qj,rk,sl->ijkl", integrals.eri, c, c, c, c, optimize=True)
-    h_so = _spin_h(h_mo)
+    n = 2 * k
+    spatial, spin = np.divmod(np.arange(n), 2)
+    h_so = np.kron(h_mo, np.eye(2))
+    same = spin[:, None] == spin
+    # <pq|rs> = (pr|qs) when p, r and q, s share a spin
+    chem = g_mo[np.ix_(spatial, spatial, spatial, spatial)] * same[:, :, None, None] * same
+    phys = chem.transpose(0, 2, 1, 3)
+    anti = phys - phys.transpose(0, 1, 3, 2)
+    # <pq||pq> and, for singles, <pq||rq> gathered as [p, r, q]
+    pair_energy = np.einsum("pqpq->pq", anti)
+    single_field = np.einsum("pqrq->prq", anti)
 
-    def g_phys(i: int, j: int, a: int, b: int) -> float:
-        # <ij|ab> over spin orbitals; chemists' (i a | j b) with spin deltas
-        if (i ^ a) & 1 or (j ^ b) & 1:
-            return 0.0
-        return g_mo[i >> 1, a >> 1, j >> 1, b >> 1]
-
-    n_e = mol.n_electrons
-    twice_sz = round(2 * s_z)
-    n_alpha = (n_e + twice_sz) // 2
-    n_beta = n_e - n_alpha
-    dets = []
-    for occ_a in combinations(range(k), n_alpha):
-        for occ_b in combinations(range(k), n_beta):
-            dets.append(tuple(sorted([2 * p for p in occ_a] + [2 * p + 1 for p in occ_b])))
+    dets = (_spin_strings(k, n_alpha, 0)[:, None] | _spin_strings(k, n_beta, 1)).ravel()
     dim = len(dets)
+    occ = ((dets[:, None] >> np.arange(n)) & 1).astype(float)
     mat = np.zeros((dim, dim))
-    occ_sets = [frozenset(d) for d in dets]
-    for i_det in range(dim):
-        occ_i = dets[i_det]
-        # diagonal
-        e = sum(h_so[p, p] for p in occ_i)
-        e += 0.5 * sum(
-            g_phys(p, q, p, q) - g_phys(p, q, q, p) for p in occ_i for q in occ_i
-        )
-        mat[i_det, i_det] = e
-        for j_det in range(i_det + 1, dim):
-            diff_i = occ_sets[i_det] - occ_sets[j_det]
-            if len(diff_i) > 2:
-                continue
-            diff_j = occ_sets[j_det] - occ_sets[i_det]
-            if len(diff_i) == 1:
-                (p,) = diff_i
-                (r,) = diff_j
-                common = occ_sets[i_det] & occ_sets[j_det]
-                val = h_so[p, r] + sum(
-                    g_phys(p, q, r, q) - g_phys(p, q, q, r) for q in common
-                )
-                sign = _parity(occ_i, [p], [r])
-            else:
-                p, q = sorted(diff_i)
-                r, s = sorted(diff_j)
-                val = g_phys(p, q, r, s) - g_phys(p, q, s, r)
-                sign = _parity(occ_i, [p, q], [r, s])
-            mat[i_det, j_det] = mat[j_det, i_det] = sign * val
+    mat.flat[::dim + 1] = occ @ np.diag(h_so) + 0.5 * ((occ @ pair_energy) * occ).sum(axis=1)
+    # pair t = (i, j > i) in row-major order; row i starts at row_start[i]
+    row_len = np.arange(dim - 1, -1, -1)
+    row_start = np.cumsum(row_len) - row_len
+    n_pairs = dim * (dim - 1) // 2
+    for lo in range(0, n_pairs, FCI_PAIR_BLOCK):
+        t = np.arange(lo, min(lo + FCI_PAIR_BLOCK, n_pairs))
+        i = np.searchsorted(row_start, t, side="right") - 1
+        j = t - row_start[i] + i + 1
+        n_diff = np.bitwise_count(dets[i] ^ dets[j])
+
+        # singles: a+_r a_p |D_i> = sign |D_j>
+        hit = n_diff == 2
+        i1, j1 = i[hit], j[hit]
+        d = dets[i1]
+        p_bit, r_bit = d & ~dets[j1], dets[j1] & ~d
+        p, r = np.bitwise_count(p_bit - 1), np.bitwise_count(r_bit - 1)
+        sign = 1.0 - 2.0 * ((_below(d, p_bit) + _below(d ^ p_bit, r_bit)) & 1)
+        val = sign * (h_so[p, r] + (occ[i1] * single_field[p, r]).sum(axis=1))
+        mat[np.r_[i1, j1], np.r_[j1, i1]] = np.r_[val, val]
+
+        # doubles: a+_r a+_s a_q a_p |D_i> = sign |D_j>, with p < q and r < s
+        hit = n_diff == 4
+        i2, j2 = i[hit], j[hit]
+        d = dets[i2]
+        removed, added = d & ~dets[j2], dets[j2] & ~d
+        p_bit, r_bit = removed & -removed, added & -added
+        q_bit, s_bit = removed ^ p_bit, added ^ r_bit
+        p, q, r, s = (np.bitwise_count(b - 1) for b in (p_bit, q_bit, r_bit, s_bit))
+        d_pq = d ^ p_bit ^ q_bit
+        exponent = (_below(d, p_bit) + _below(d ^ p_bit, q_bit)
+                    + _below(d_pq, s_bit) + _below(d_pq, r_bit))
+        val = (1.0 - 2.0 * (exponent & 1)) * anti[p, q, r, s]
+        mat[np.r_[i2, j2], np.r_[j2, i2]] = np.r_[val, val]
     return float(np.linalg.eigvalsh(mat)[0]) + nuclear_repulsion(mol)

@@ -34,6 +34,13 @@ XYZ = {
         "H -0.6276 -0.6276 0.6276"
     ),
     "heh+": "2\n\nHe 0 0 0\nH 0 0 0.9295",
+    "nh3": (
+        "4\nammonia\n"
+        "N 0 0 0.1162\n"
+        "H 0 0.9377 -0.2711\n"
+        "H 0.8121 -0.4689 -0.2711\n"
+        "H -0.8121 -0.4689 -0.2711"
+    ),
 }
 CHARGES = {"heh+": 1}
 
@@ -85,6 +92,11 @@ def water():
 @pytest.fixture(scope="session")
 def ch4():
     return get_system("ch4")
+
+
+@pytest.fixture(scope="session")
+def nh3():
+    return get_system("nh3")
 
 
 @pytest.fixture(scope="session")

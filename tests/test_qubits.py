@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qembed.qubits
 from qembed.exceptions import InputError
 from qembed.molecule import nuclear_repulsion
 from qembed.qubits import (
@@ -165,6 +166,18 @@ def test_jw_qubit_and_index_limits():
         jordan_wigner(one_body_operator([[0, 0]], [1.0]), 65)
     with pytest.raises(ValueError, match="outside 2 qubits"):
         jordan_wigner(one_body_operator([[2, 2]], [1.0]), 2)
+
+
+def test_jw_merge_seams(water, monkeypatch):
+    # a prime block leaves partial blocks, and many blocks wait for each merge
+    mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C,
+                      constant=nuclear_repulsion(water.mol))
+    ops = second_quantize(mo)
+    default = jordan_wigner(ops, 14).terms
+    monkeypatch.setattr(qembed.qubits, "JW_BLOCK", 997)
+    small = jordan_wigner(ops, 14).terms
+    assert small.keys() == default.keys()
+    assert max(abs(small[w] - default[w]) for w in default) <= 1e-12
 
 
 def test_h2_term_count_is_fifteen(h2):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,46 @@ def test_water_fci_regression(water):
     # frozen from this implementation (dense diagonalization, sector (10, 0))
     e_fci = fci_oracle(water.mol, water.ints, water.scf)
     assert e_fci == pytest.approx(-75.0125784863, abs=1e-8)
+
+
+def test_oracle_equivalence_nh3_at_orbital_limit(nh3):
+    # K = 8, the oracle limit: 10 electrons in 16 spin orbitals, 56^2 determinants
+    assert nh3.ints.n_functions == qembed.solver.MAX_FCI_ORBITALS
+    gs = ground_state(full_jw(nh3), n_electrons=10, s_z=0)
+    tracemalloc.start()
+    try:
+        e_fci = fci_oracle(nh3.mol, nh3.ints, nh3.scf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gs.energy == pytest.approx(e_fci, abs=1e-8)
+    # the dense CI matrix plus slack: the pair walk stays blocked
+    assert peak <= 1.25 * 3136**2 * 8
+
+
+@pytest.mark.parametrize("name", ["lih", "water"])
+def test_triplet_oracle_matches_qubit_sector(name, request):
+    system = request.getfixturevalue(name)
+    n_e = system.mol.n_electrons
+    gs = ground_state(full_jw(system), n_electrons=n_e, s_z=1)
+    assert gs.energy == pytest.approx(
+        fci_oracle(system.mol, system.ints, system.scf, s_z=1), abs=1e-8
+    )
+
+
+def test_oracle_pair_block_seams(lih, monkeypatch):
+    # 13 is prime and does not divide LiH's 225 * 224 / 2 determinant pairs,
+    # so blocks end mid-row and the last one is partial
+    full = fci_oracle(lih.mol, lih.ints, lih.scf)
+    monkeypatch.setattr(qembed.solver, "FCI_PAIR_BLOCK", 13)
+    assert fci_oracle(lih.mol, lih.ints, lih.scf) == pytest.approx(full, abs=1e-12)
+
+
+def test_oracle_rejects_impossible_s_z(water):
+    with pytest.raises(InputError, match="impossible"):
+        fci_oracle(water.mol, water.ints, water.scf, s_z=0.5)
+    with pytest.raises(InputError, match="empty determinant space"):
+        fci_oracle(water.mol, water.ints, water.scf, s_z=5)
 
 
 def test_variational_ordering(he, h2, lih):
