@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +45,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_PROJECTION = 4
+# thread counts that OpenBLAS, MKL and OpenMP read once, when the library loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -246,6 +251,26 @@ def _scan_point(args) -> dict:
     return row
 
 
+@contextmanager
+def _single_threaded_blas_children():
+    """Set the BLAS thread variables to 1 in the environment that new processes inherit.
+
+    Without it every scan worker starts a BLAS pool as wide as the machine, and
+    --jobs N runs N such pools on the same cores. This process has loaded its
+    BLAS already, so only the children see the change; it is undone on exit.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
              jobs: int = 1) -> int:
     config.validate()
@@ -255,7 +280,9 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     grid = sorted(set(round(r, 12) for r in distances))
     tasks = [(config, base_mol, atoms, r) for r in grid]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawned workers import numpy afresh, so they load BLAS single-threaded
+        spawn = multiprocessing.get_context("spawn")
+        with _single_threaded_blas_children(), ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]

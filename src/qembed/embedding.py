@@ -65,8 +65,10 @@ def mu_projector(gamma_env: np.ndarray, s: np.ndarray, mu: float = DEFAULT_MU) -
 
     With the factor-2 closed-shell density convention a pure environment
     orbital is shifted by 2*mu; the large-mu exactness limit is unaffected.
+    The product is symmetrized, since its round-off is scaled by mu.
     """
-    return mu * (s @ gamma_env @ s)
+    sgs = s @ gamma_env @ s
+    return mu * 0.5 * (sgs + sgs.T)
 
 
 def huzinaga_projector(fock: np.ndarray, gamma_env: np.ndarray, s: np.ndarray) -> np.ndarray:

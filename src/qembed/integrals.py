@@ -3,12 +3,16 @@
 Everything is evaluated with the Gaussian product theorem in a Hermite
 intermediate basis: expansion coefficients E couple Cartesian powers to
 Hermite Gaussians, and the Coulomb-type integrals contract those against
-a table of Hermite derivatives R of the Boys function. One table holds every
-primitive pair of every AO pair, so S and T are array expressions over it,
-and V and the ERI tensor share one Hermite-Coulomb contraction (a nucleus is
-a ket with E_000 = 1; the ERI runs over fixed blocks of primitive quartets).
-This keeps the dense rank-4 ERI build tractable at desk scale (K up to ~30)
-in pure numpy.
+a table of Hermite derivatives R of the Boys function.
+
+The unit of work is the exponent shell, the AOs on one atom that share an
+exponent vector (STO-3G 2s and 2p do). One table holds every primitive pair
+of every shell pair, bucketed by class (s.s, sp.s, sp.sp), with a (component
+pair x Hermite) density per row. S and T are array expressions over it. V and
+the ERI share one Hermite-Coulomb path (a nucleus is a ket with E_000 = 1): R
+is built once per primitive pair and nucleus or per primitive shell quartet,
+gathered into a signed Hermite matrix M and contracted to every component
+pair as D_bra @ M @ D_ket^T. The K = 30 ERI tensor takes about a second.
 """
 
 from __future__ import annotations
@@ -20,14 +24,18 @@ import numpy as np
 from .basis import CARTESIAN_POWERS, BasisSet
 from .molecule import Molecule
 
-ERI_BLOCK = 4096   # primitive quartets contracted per batch in eri_tensor
+ERI_BLOCK = 4096   # primitive quartets per eri_tensor batch; a batch holds whole shell quartets
 _BOYS_SWITCH = 35.0
 _BOYS_SERIES_TERMS = 130
 _L_MAX = max(CARTESIAN_POWERS)
-# Hermite indices (t, u, v) of a pair density, t+u+v <= 2*_L_MAX, by total order
+# Hermite indices (t, u, v) by total order, up to the order of R in a quartet
 _HERMITE = [
-    (t, u, n - t - u) for n in range(2 * _L_MAX + 1) for t in range(n + 1) for u in range(n - t + 1)
+    (t, u, n - t - u) for n in range(4 * _L_MAX + 1) for t in range(n + 1) for u in range(n - t + 1)
 ]
+_DENSITY = [h for h in _HERMITE if sum(h) <= 2 * _L_MAX]   # Hermite rows of a pair density
+# M[i, j] = (-1)^|h_j| R[h_i + h_j]: the position of h_i + h_j in _HERMITE and the ket sign
+_SUM_INDEX = np.array([[_HERMITE.index(tuple(np.add(hi, hj))) for hj in _DENSITY] for hi in _DENSITY])
+_KET_SIGN = np.array([(-1.0) ** sum(h) for h in _DENSITY])
 
 
 @dataclass(frozen=True)
@@ -97,74 +105,67 @@ def _hermite_expansion(i_max: int, j_max: int, a, b, ab_dist):
     E = np.zeros((i_max + 1, j_max + 1, n_t + 1) + np.shape(a))
     E[0, 0, 0] = np.exp(-mu * ab_dist * ab_dist)
     inv2p = 1.0 / (2.0 * p)
-    for i in range(i_max + 1):
-        for j in range(j_max + 1):
-            if i == 0 and j == 0:
-                continue
-            for t in range(i + j + 1):
-                if j == 0:
-                    E[i, j, t] = (
-                        (inv2p * E[i - 1, j, t - 1] if t > 0 else 0.0)
-                        + xpa * E[i - 1, j, t]
-                        + (t + 1) * E[i - 1, j, t + 1]
-                    )
-                else:
-                    E[i, j, t] = (
-                        (inv2p * E[i, j - 1, t - 1] if t > 0 else 0.0)
-                        + xpb * E[i, j - 1, t]
-                        + (t + 1) * E[i, j - 1, t + 1]
-                    )
+    for i, j in ((i, j) for i in range(i_max + 1) for j in range(j_max + 1) if i or j):
+        # raise the ket power from E[i, j-1] when j > 0, else the bra power from E[i-1, 0]
+        prev, x_p = (E[i, j - 1], xpb) if j else (E[i - 1, j], xpa)
+        for t in range(i + j + 1):
+            E[i, j, t] = (inv2p * prev[t - 1] if t > 0 else 0.0) + x_p * prev[t] + (t + 1) * prev[t + 1]
     return E[:, :, :n_t]
 
 
 def _hermite_coulomb(l_max: int, p, pc, t_arg):
-    """Hermite Coulomb derivatives R[t, u, v] up to t+u+v <= l_max.
+    """Hermite Coulomb derivatives R[..., i] for the _HERMITE[i] of order <= l_max.
 
-    p is the total exponent array, pc the (batch, 3) distance P-C, t_arg the
+    p is the total exponent array, pc the (..., 3) distance P-C, t_arg the
     Boys argument p*|PC|^2. Built by the standard downward index recursion on
-    an auxiliary order n, vectorized over the batch axis.
+    an auxiliary order n, seeded with (-2p)^n F_n by a running product.
     """
     fn = boys(l_max, t_arg)
-    minus2p = -2.0 * p
-    # rn[n][t,u,v]: auxiliary tables, consumed from highest n downwards
-    rn = {n: {(0, 0, 0): (minus2p**n) * fn[n]} for n in range(l_max + 1)}
+    rn, power = [], 1.0   # rn[n][t,u,v]: auxiliary tables, consumed from highest n downwards
+    for n in range(l_max + 1):
+        rn.append({(0, 0, 0): power * fn[n]})
+        power = power * (-2.0 * p)
     for order in range(1, l_max + 1):
         for n in range(l_max - order + 1):
-            table = rn[n]
             src = rn[n + 1]
-            for t in range(order + 1):
-                for u in range(order - t + 1):
-                    v = order - t - u
-                    if v > 0:
-                        val = pc[..., 2] * src[(t, u, v - 1)]
-                        if v > 1:
-                            val = val + (v - 1) * src[(t, u, v - 2)]
-                    elif u > 0:
-                        val = pc[..., 1] * src[(t, u - 1, v)]
-                        if u > 1:
-                            val = val + (u - 1) * src[(t, u - 2, v)]
-                    else:
-                        val = pc[..., 0] * src[(t - 1, u, v)]
-                        if t > 1:
-                            val = val + (t - 1) * src[(t - 2, u, v)]
-                    table[(t, u, v)] = val
-    return rn[0]
+            for h in (h for h in _HERMITE if sum(h) == order):
+                d = max(i for i in range(3) if h[i])   # lower the last nonzero index
+                lower = tuple(x - (i == d) for i, x in enumerate(h))
+                val = pc[..., d] * src[lower]
+                if h[d] > 1:
+                    val = val + (h[d] - 1) * src[tuple(x - 2 * (i == d) for i, x in enumerate(h))]
+                rn[n][h] = val
+    return np.stack([rn[0][h] for h in _HERMITE if sum(h) <= l_max], axis=-1)
+
+
+def _coulomb(alpha, pq, d_bra, d_ket, scale):
+    """scale * D_bra @ M @ D_ket^T with M[i, j] = (-1)^|h_j| R[h_i + h_j].
+
+    d_bra and d_ket are (..., components, Hermite) densities over the leading rows of
+    _HERMITE; alpha is the reduced exponent, pq the (..., 3) distance between the centres.
+    """
+    nb, nk = d_bra.shape[-1], d_ket.shape[-1]
+    l_max = sum(_HERMITE[nb - 1]) + sum(_HERMITE[nk - 1])
+    r = _hermite_coulomb(l_max, alpha, pq, alpha * np.sum(pq * pq, axis=-1))
+    m = r[..., _SUM_INDEX[:nb, :nk]] * (scale[..., None, None] * _KET_SIGN[:nk])
+    return d_bra @ m @ np.swapaxes(d_ket, -1, -2)
 
 
 @dataclass(frozen=True)
-class _PairTable:
-    """Every primitive pair of every AO pair mu >= nu, sorted by pair index."""
+class _PairClass:
+    """Every primitive pair of the shell pairs of one class, rows contiguous per shell pair.
 
-    mu: np.ndarray        # (n,) bra AO
-    nu: np.ndarray        # (n,) ket AO
-    pair: np.ndarray      # (n,) canonical pair index mu*(mu+1)/2 + nu, ascending
-    b: np.ndarray         # (n,) ket exponent
+    A component pair is one (bra AO, ket AO); row values include contraction coefficients.
+    """
+
+    ao: np.ndarray        # (2, pairs, c) bra and ket AO of each component pair
+    starts: np.ndarray    # (pairs,) first row of each shell pair
+    sizes: np.ndarray     # (pairs,) rows of each shell pair
     p: np.ndarray         # (n,) total exponent
     center: np.ndarray    # (n, 3) Gaussian-product centre
-    cc: np.ndarray        # (n,) contraction-coefficient product
-    lb: np.ndarray        # (3, n) ket Cartesian powers
-    e: np.ndarray         # (3, j, t, n) E_d[l_a, j, t] at every ket power j <= l_b+2
-    density: np.ndarray   # (len(_HERMITE), n) Hermite density E_x[t] E_y[u] E_z[v]
+    overlap: np.ndarray   # (n, c)
+    kinetic: np.ndarray   # (n, c)
+    density: np.ndarray   # (n, c, h) Hermite density E_x[t] E_y[u] E_z[v]
 
 
 def _pair_index(mu, nu):
@@ -173,124 +174,123 @@ def _pair_index(mu, nu):
     return hi * (hi + 1) // 2 + lo
 
 
-def _pair_table(basis: BasisSet) -> _PairTable:
+def _pair_classes(basis: BasisSet) -> list[_PairClass]:
+    """Bucket every unordered pair of exponent shells by its (bra, ket) components."""
     funcs = basis.functions
-    ao = np.repeat(np.arange(len(funcs)), [len(f.exponents) for f in funcs])
-    exps = np.concatenate([f.exponents for f in funcs])
-    coeffs = np.concatenate([f.coeffs for f in funcs])
-    centers = np.array([f.center for f in funcs])[ao]
-    powers = np.array([f.powers for f in funcs])[ao].T
-    i, j = np.nonzero(ao[:, None] >= ao[None, :])
-    pair = _pair_index(ao[i], ao[j])
-    order = np.argsort(pair, kind="stable")
-    i, j, pair = i[order], j[order], pair[order]
-    a, b = exps[i], exps[j]
-    ab = centers[i] - centers[j]
-    # gather each direction's table at the bra power: (j, t, n)
-    e = np.stack([
-        np.take_along_axis(
-            _hermite_expansion(_L_MAX, _L_MAX + 2, a, b, ab[:, d]),
-            powers[d, i][None, None, None, :], axis=0,
-        )[0]
-        for d in range(3)
-    ])
-    lb = powers[:, j]
-    ex, ey, ez = np.take_along_axis(e, lb[:, None, None, :], axis=1)[:, 0]
-    density = np.array([ex[t] * ey[u] * ez[v] for t, u, v in _HERMITE])
-    return _PairTable(
-        mu=ao[i], nu=ao[j], pair=pair, b=b, p=a + b,
-        center=(a[:, None] * centers[i] + b[:, None] * centers[j]) / (a + b)[:, None],
-        cc=coeffs[i] * coeffs[j], lb=lb, e=e, density=density,
+    shells: dict[tuple, list[int]] = {}
+    for mu, f in enumerate(funcs):
+        shells.setdefault((f.atom_index, f.center.tobytes(), f.exponents.tobytes()), []).append(mu)
+    aos = list(shells.values())
+    # order shells by their components, so the bra of a pair is the larger: s.s, sp.s, sp.sp
+    kinds = [(len(sh), tuple(funcs[mu].powers for mu in sh)) for sh in aos]
+    buckets: dict[tuple, list[tuple[list[int], list[int]]]] = {}
+    for a in range(len(aos)):
+        for b in range(a + 1):
+            bra, ket = (a, b) if kinds[a] >= kinds[b] else (b, a)
+            buckets.setdefault((kinds[bra], kinds[ket]), []).append((aos[bra], aos[ket]))
+    return [_pair_class(funcs, buckets[key]) for key in sorted(buckets)]
+
+
+def _pair_class(funcs, pairs) -> _PairClass:
+    parts = []
+    for bra, ket in pairs:
+        fa, fb = funcs[bra[0]], funcs[ket[0]]
+        i, j = (x.ravel() for x in np.indices((len(fa.exponents), len(fb.exponents))))
+        cc = np.array([funcs[m].coeffs[i] * funcs[n].coeffs[j] for m in bra for n in ket])
+        centers = (np.repeat(f.center[:, None], len(i), axis=1) for f in (fa, fb))
+        parts.append((fa.exponents[i], fb.exponents[j], *centers, cc))
+    a, b, ra, rb, cc = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    # component pair c = (bra component, ket component), bra-major as in cc
+    ia, ib = (x.ravel() for x in np.indices((len(pairs[0][0]), len(pairs[0][1]))))
+    la = np.array([funcs[mu].powers for mu in pairs[0][0]])[ia].T   # (3, c)
+    lb = np.array([funcs[mu].powers for mu in pairs[0][1]])[ib].T
+    e = [_hermite_expansion(la.max(), lb.max() + 2, a, b, ra[d] - rb[d]) for d in range(3)]
+    herm = np.array([h for h in _DENSITY if sum(h) <= max(la.sum(0)) + max(lb.sum(0))]).T
+    density = np.prod([e[d][la[d][:, None], lb[d][:, None], herm[d]] for d in range(3)], axis=0)
+    # one-dimensional overlaps at ket powers lb - 2 (clipped: it meets lb(lb-1) = 0), lb, lb + 2
+    shifted = [[e[d][la[d], np.maximum(lb[d] + k, 0), 0] for d in range(3)] for k in (-2, 0, 2)]
+    (s_m2, s_0, s_p2), lb = np.array(shifted), lb[..., None]
+    t1d = -2.0 * b * b * s_p2 + b * (2 * lb + 1) * s_0 - 0.5 * lb * (lb - 1) * s_m2
+    kinetic = sum(t1d[d] * s_0[(d + 1) % 3] * s_0[(d + 2) % 3] for d in range(3))
+    pref = cc * (np.pi / (a + b)) ** 1.5
+    sizes = np.array([len(part[0]) for part in parts])
+    return _PairClass(
+        ao=np.array([[np.array(sh[side])[idx] for sh in pairs] for side, idx in ((0, ia), (1, ib))]),
+        starts=np.cumsum(sizes) - sizes, sizes=sizes, p=a + b,
+        center=((a * ra + b * rb) / (a + b)).T, overlap=(pref * s_0.prod(axis=0)).T,
+        kinetic=(pref * kinetic).T, density=(density * cc[:, None]).transpose(2, 0, 1),
     )
 
 
-def _ket_overlap_1d(tab: _PairTable, shift: int) -> np.ndarray:
-    """(3, n) one-dimensional overlaps E_d[l_a, l_b+shift, 0].
-
-    A negative ket power is clipped to 0; every caller multiplies it by zero.
-    """
-    j = np.maximum(tab.lb + shift, 0)
-    return np.take_along_axis(tab.e[:, :, 0], j[:, None, :], axis=1)[:, 0]
-
-
-def _scatter_pairs(tab: _PairTable, values: np.ndarray, k: int) -> np.ndarray:
-    """Sum per-primitive-pair values into a symmetric (K, K) matrix."""
-    out = np.zeros((k, k))
-    np.add.at(out, (tab.mu, tab.nu), values)
-    return out + np.tril(out, -1).T
+def _one_electron(basis: BasisSet, row_values) -> np.ndarray:
+    """Sum per-primitive-pair (n, c) values into a bitwise symmetric (K, K) matrix."""
+    out = np.zeros((basis.n_functions,) * 2)
+    for cls in _pair_classes(basis):
+        sums = np.add.reduceat(row_values(cls), cls.starts, axis=0)
+        out[cls.ao[0], cls.ao[1]] = out[cls.ao[1], cls.ao[0]] = sums
+    return np.tril(out) + np.tril(out, -1).T
 
 
 def overlap_matrix(basis: BasisSet) -> np.ndarray:
     """AO overlap via the Gaussian product theorem; exact for s/p Cartesians."""
-    tab = _pair_table(basis)
-    s = _ket_overlap_1d(tab, 0).prod(axis=0)
-    return _scatter_pairs(tab, tab.cc * (np.pi / tab.p) ** 1.5 * s, basis.n_functions)
+    return _one_electron(basis, lambda cls: cls.overlap)
 
 
 def kinetic_matrix(basis: BasisSet) -> np.ndarray:
     """Kinetic energy matrix from power-shifted overlaps per direction."""
-    tab = _pair_table(basis)
-    s_m2, s_0, s_p2 = (_ket_overlap_1d(tab, shift) for shift in (-2, 0, 2))
-    lb, b = tab.lb, tab.b
-    t1d = -2.0 * b * b * s_p2 + b * (2 * lb + 1) * s_0 - 0.5 * lb * (lb - 1) * s_m2
-    total = sum(t1d[d] * s_0[(d + 1) % 3] * s_0[(d + 2) % 3] for d in range(3))
-    return _scatter_pairs(tab, tab.cc * (np.pi / tab.p) ** 1.5 * total, basis.n_functions)
-
-
-def _hermite_contract(alpha, pq, d_bra, d_ket):
-    """Sum over i, j of d_bra[i] (-1)^(t'+u'+v') d_ket[j] R[t+t', u+u', v+v'].
-
-    The densities hold the leading rows of _HERMITE ((t,u,v) for bra row i,
-    (t',u',v') for ket row j); alpha is the reduced exponent and pq the
-    (..., 3) distance between the two charge centres.
-    """
-    l_max = sum(_HERMITE[len(d_bra) - 1]) + sum(_HERMITE[len(d_ket) - 1])
-    r = _hermite_coulomb(l_max, alpha, pq, alpha * np.sum(pq * pq, axis=-1))
-    signed = [(-1) ** sum(h) * dk for h, dk in zip(_HERMITE, d_ket)]
-    total = 0.0
-    for (t, u, v), db in zip(_HERMITE, d_bra):
-        ket = sum(dk * r[(t + tt, u + uu, v + vv)] for (tt, uu, vv), dk in zip(_HERMITE, signed))
-        total = total + db * ket
-    return total
+    return _one_electron(basis, lambda cls: cls.kinetic)
 
 
 def nuclear_attraction_matrix(basis: BasisSet, mol: Molecule) -> np.ndarray:
     """Electron-nucleus attraction matrix (attractive, negative-definite)."""
-    tab = _pair_table(basis)
-    pc = tab.center[None] - mol.positions()[:, None]   # (atoms, n, 3)
-    # a point charge is a ket density with only E_000 = 1 and infinite exponent
-    per_atom = _hermite_contract(tab.p, pc, tab.density, np.ones((1, 1)))
-    values = -(mol.charges() @ per_atom) * tab.cc * 2.0 * np.pi / tab.p
-    return _scatter_pairs(tab, values, basis.n_functions)
+    def rows(cls):
+        pc = cls.center[None] - mol.positions()[:, None]   # (atoms, n, 3)
+        # a point charge is a ket density with only E_000 = 1 and infinite exponent
+        scale = -mol.charges()[:, None] * 2.0 * np.pi / cls.p
+        return _coulomb(cls.p, pc, cls.density, np.ones((1, 1)), scale)[..., 0].sum(axis=0)
+
+    return _one_electron(basis, rows)
+
+
+def _shell_quartets(bra: _PairClass, ket: _PairClass, s_bra, s_ket) -> np.ndarray:
+    """(quartets, bra components, ket components) ERI blocks of shell pairs s_bra x s_ket."""
+    n_ket = ket.sizes[s_ket]
+    counts = bra.sizes[s_bra] * n_ket   # primitive quartets, contiguous per shell quartet
+    offsets = np.cumsum(counts) - counts
+    q = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(counts.sum()) - offsets[q]
+    rb = bra.starts[s_bra][q] + local // n_ket[q]
+    rk = ket.starts[s_ket][q] + local % n_ket[q]
+    p, pk = bra.p[rb], ket.p[rk]
+    values = _coulomb(p * pk / (p + pk), bra.center[rb] - ket.center[rk], bra.density[rb],
+                      ket.density[rk], 2.0 * np.pi**2.5 / (p * pk * np.sqrt(p + pk)))
+    return np.add.reduceat(values, offsets, axis=0)
 
 
 def eri_tensor(basis: BasisSet) -> np.ndarray:
-    """Full (mu nu | lam sig) tensor from primitive quartets with bra pair >= ket pair.
+    """Full (mu nu | lam sig) tensor from the unique shell quartets of each class pair.
 
-    Quartets are contracted ERI_BLOCK at a time and summed per pair of AO
-    pairs; one gather then fills all eight permutation images.
+    Batches of about ERI_BLOCK primitive quartets hold whole shell quartets. Each block is
+    written at both bra/ket images of a matrix over canonical AO pairs, which is then
+    symmetrized from its lower triangle; one gather fills all eight permutation images.
     """
-    tab = _pair_table(basis)
     k = basis.n_functions
-    # the ket rows of bra row r are the table prefix with pair index <= pair[r]
-    n_ket = np.searchsorted(tab.pair, tab.pair, side="right")
-    ends = np.cumsum(n_ket)
-    n_quartets = int(ends[-1])
+    classes = _pair_classes(basis)
+    pair = [_pair_index(*cls.ao) for cls in classes]
     pair_sums = np.zeros((k * (k + 1) // 2,) * 2)
-    for start in range(0, n_quartets, ERI_BLOCK):
-        q = np.arange(start, min(start + ERI_BLOCK, n_quartets))
-        bra = np.searchsorted(ends, q, side="right")
-        ket = q - (ends[bra] - n_ket[bra])
-        p, pk = tab.p[bra], tab.p[ket]
-        alpha = p * pk / (p + pk)
-        values = _hermite_contract(
-            alpha, tab.center[bra] - tab.center[ket], tab.density[:, bra], tab.density[:, ket]
-        )
-        values *= tab.cc[bra] * tab.cc[ket] * 2.0 * np.pi**2.5 / (p * pk * np.sqrt(p + pk))
-        np.add.at(pair_sums, (tab.pair[bra], tab.pair[ket]), values)
-    pair_sums += np.tril(pair_sums, -1).T
-    ao = np.arange(k)
-    index = _pair_index(ao[:, None], ao[None, :])
+    for x, bra in enumerate(classes):
+        for y, ket in enumerate(classes[: x + 1]):
+            every = np.ones((len(bra.sizes), len(ket.sizes)))
+            s_bra, s_ket = np.nonzero(np.tril(every) if x == y else every)
+            counts = bra.sizes[s_bra] * ket.sizes[s_ket]
+            batch = (np.cumsum(counts) - counts) // ERI_BLOCK
+            for sl in np.split(np.arange(len(counts)), np.flatnonzero(np.diff(batch)) + 1):
+                values = _shell_quartets(bra, ket, s_bra[sl], s_ket[sl])
+                i, j = pair[x][s_bra[sl]], pair[y][s_ket[sl]]
+                pair_sums[i[:, :, None], j[:, None, :]] = values
+                pair_sums[j[:, :, None], i[:, None, :]] = values.transpose(0, 2, 1)
+    pair_sums = np.tril(pair_sums) + np.tril(pair_sums, -1).T
+    index = _pair_index(*np.indices((k, k)))
     return pair_sums[index[:, :, None, None], index[None, None]]
 
 

@@ -46,9 +46,13 @@ def mo_transform(h_ao: np.ndarray, eri_ao: np.ndarray, c_red: np.ndarray,
                  constant: float = 0.0) -> MOIntegrals:
     """Congruence-transform the one- and two-electron AO integrals.
 
-    The rank-4 transform proceeds one index at a time (O(K^5) work).
+    The rank-4 transform proceeds one index at a time (O(K^5) work). h is
+    returned exactly symmetric: with a mu projector h_ao carries entries of
+    order 1e6 whose round-off asymmetry would otherwise reach the Pauli
+    coefficients as an imaginary part.
     """
     h = c_red.T @ h_ao @ c_red
+    h = 0.5 * (h + h.T)
     g = np.einsum("pqrs,pi->iqrs", eri_ao, c_red, optimize=True)
     g = np.einsum("iqrs,qj->ijrs", g, c_red, optimize=True)
     g = np.einsum("ijrs,rk->ijks", g, c_red, optimize=True)

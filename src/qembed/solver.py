@@ -47,6 +47,13 @@ class GroundState:
     sector: str
 
 
+def _twice_sz(s_z: float) -> int:
+    """2 S_z as an integer; an S_z that is not a multiple of 1/2 is refused."""
+    if not float(2 * s_z).is_integer():
+        raise InputError(f"s_z={s_z} is not a multiple of 1/2")
+    return int(2 * s_z)
+
+
 def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float]) -> np.ndarray:
     """Ascending occupation bitstrings in the requested (N, S_z) sector.
 
@@ -61,7 +68,7 @@ def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float
         keep &= n == n_electrons
     if s_z is not None:
         n_alpha = np.bitwise_count(states & np.int64(0x5555555555555555))
-        keep &= 2 * n_alpha.astype(np.int64) - n == round(2 * s_z)
+        keep &= 2 * n_alpha.astype(np.int64) - n == _twice_sz(s_z)
     return states[keep]
 
 
@@ -233,7 +240,7 @@ def fci_oracle(
     if k > MAX_FCI_ORBITALS:
         raise InputError(f"{k} orbitals exceeds the FCI oracle limit {MAX_FCI_ORBITALS}")
     n_e = mol.n_electrons
-    twice_sz = round(2 * s_z)
+    twice_sz = _twice_sz(s_z)
     if (n_e + twice_sz) % 2:
         raise InputError(f"s_z={s_z} is impossible for {n_e} electrons")
     n_alpha = (n_e + twice_sz) // 2

@@ -41,6 +41,32 @@ XYZ = {
         "H 0.8121 -0.4689 -0.2711\n"
         "H -0.8121 -0.4689 -0.2711"
     ),
+    "methanol": (
+        "6\nmethanol\n"
+        "C -0.0466 0.6638 0.0\n"
+        "O -0.0466 -0.7570 0.0\n"
+        "H -1.0885 0.9752 0.0\n"
+        "H 0.4363 1.0798 0.8913\n"
+        "H 0.4363 1.0798 -0.8913\n"
+        "H 0.8444 -1.0925 0.0"
+    ),
+    "butane": (  # hand-built anti n-butane, K = 30
+        "14\nbutane\n"
+        "C 0.0000 0.0000 0.0000\n"
+        "C 1.2492 0.8833 0.0000\n"
+        "C 2.4985 0.0000 0.0000\n"
+        "C 3.7477 0.8833 0.0000\n"
+        "H -0.8900 0.6293 0.0000\n"
+        "H 0.0000 -0.6293 0.8900\n"
+        "H 0.0000 -0.6293 -0.8900\n"
+        "H 1.2492 1.5127 0.8900\n"
+        "H 1.2492 1.5127 -0.8900\n"
+        "H 2.4985 -0.6293 0.8900\n"
+        "H 2.4985 -0.6293 -0.8900\n"
+        "H 4.6377 0.2540 0.0000\n"
+        "H 3.7477 1.5127 0.8900\n"
+        "H 3.7477 1.5127 -0.8900"
+    ),
 }
 CHARGES = {"heh+": 1}
 
@@ -97,6 +123,13 @@ def ch4():
 @pytest.fixture(scope="session")
 def nh3():
     return get_system("nh3")
+
+
+@pytest.fixture(scope="session")
+def butane():
+    """Molecule and basis only: the K = 30 ERI tests build and measure their own tensor."""
+    mol = parse_xyz(XYZ["butane"])
+    return SimpleNamespace(mol=mol, basis=build_basis(mol))
 
 
 @pytest.fixture(scope="session")

@@ -172,6 +172,32 @@ def test_mu_projector_path(tmp_path, water_file):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mu_projector_rotated_methane(tmp_path, seed):
+    # mu = 1e6 scales round-off in the embedded h; unless it is symmetrized the
+    # Jordan-Wigner map sees an imaginary part above its tolerance in most orientations
+    from conftest import XYZ
+
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    q = q * np.linalg.det(q)   # det is +-1; a 3x3 sign flip makes the rotation proper
+    shift = rng.uniform(-3.0, 3.0, size=3)
+    lines = XYZ["ch4"].splitlines()
+    for n, (sym, *pos) in enumerate(line.split() for line in lines[2:]):
+        lines[n + 2] = sym + "".join(f" {x:.12f}" for x in q @ np.array(pos, float) + shift)
+    geometry = tmp_path / "ch4.xyz"
+    geometry.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    code = main(["embed", "--geometry", str(geometry), "--active", "0,1", "--projector", "mu",
+                 "--solver", "none", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["embedding"]["e_same_level_embedded"] == pytest.approx(
+        report["scf"]["e_rhf_total"], abs=1e-5
+    )
+
+
 def test_config_file_with_flag_override(tmp_path, water_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -276,3 +302,16 @@ def test_scan_parallel_matches_serial(tmp_path, h2_file):
         cmd_scan(config, (0, 1), [0.6, 0.9, 1.2], jobs=jobs)
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_scan_worker_environment_is_single_threaded_and_restored(monkeypatch):
+    import os
+
+    from qembed.cli import _single_threaded_blas_children
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    with _single_threaded_blas_children():
+        assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert "OMP_NUM_THREADS" not in os.environ

@@ -385,3 +385,36 @@ def test_integral_dump_roundtrip(tmp_path, h2):
     name, i, j, val = s_lines[1].split()
     assert float(val) == pytest.approx(h2.ints.S[int(i), int(j)], abs=1e-15)
     assert any(ln.startswith("ERI 1 1 1 0") or ln.startswith("ERI 1 0") for ln in lines)
+
+
+def test_eri_follows_atom_reordering():
+    # exponent-shell pairs are not ordered like AO pairs; listing the H atoms
+    # first and O before C reorders both, and the tensor must follow the AOs
+    from conftest import XYZ
+
+    header, atoms = XYZ["methanol"].splitlines()[:2], XYZ["methanol"].splitlines()[2:]
+    order = [5, 2, 1, 3, 0, 4]
+    base = build_basis(parse_xyz(XYZ["methanol"]))
+    moved = build_basis(parse_xyz("\n".join(header + [atoms[i] for i in order])))
+    perm = np.concatenate([np.flatnonzero(base.atom_of_function() == i) for i in order])
+    expected = eri_tensor(base)[np.ix_(perm, perm, perm, perm)]
+    np.testing.assert_allclose(eri_tensor(moved), expected, rtol=0, atol=1e-13)
+
+
+def test_butane_eri_symmetric_definite_and_bounded(butane):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        eri = eri_tensor(butane.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = eri.shape[0]
+    assert k == 30
+    assert peak <= 64e6
+    # every permutation image is the same stored value, so symmetry holds bitwise
+    for perm in [(2, 3, 0, 1), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                 (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]:
+        assert np.array_equal(eri, eri.transpose(perm))
+    assert np.linalg.eigvalsh(eri.reshape(k * k, k * k)).min() >= -1e-12

@@ -113,6 +113,18 @@ def test_mo_transform_matches_quadruple_loop(h2):
     np.testing.assert_allclose(mo.h, mo.h.T, atol=1e-12)
 
 
+def test_mo_transform_h_bitwise_symmetric():
+    # a mu projector puts entries of order 1e6 into h; C^T h C is not exactly
+    # symmetric in floating point, and the asymmetry becomes an imaginary Pauli part
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((9, 9)) * 1e6
+    h = h + h.T
+    c = rng.standard_normal((9, 6))
+    mo = mo_transform(h, np.zeros((9, 9, 9, 9)), c)
+    assert np.array_equal(mo.h, mo.h.T)
+    np.testing.assert_allclose(mo.h, c.T @ h @ c, rtol=1e-12, atol=1e-6)
+
+
 # --- second quantization and Jordan-Wigner ----------------------------------
 
 

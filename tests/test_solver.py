@@ -157,6 +157,15 @@ def test_empty_sector_rejected():
         ground_state(ham, n_electrons=3, s_z=0)
 
 
+def test_non_half_integer_s_z_rejected(water):
+    # 2 s_z used to be rounded, so s_z = 0.2 silently gave the S_z = 0 result
+    ham = QubitHamiltonian(n_qubits=4, terms={"ZIII": 1.0})
+    with pytest.raises(InputError, match="multiple of 1/2"):
+        ground_state(ham, n_electrons=2, s_z=0.2)
+    with pytest.raises(InputError, match="multiple of 1/2"):
+        fci_oracle(water.mol, water.ints, water.scf, s_z=0.2)
+
+
 def test_qubit_limit_enforced():
     ham = QubitHamiltonian(n_qubits=30, terms={"I" * 30: 1.0})
     with pytest.raises(InputError, match="exceeds"):
