@@ -154,10 +154,12 @@ def pauli_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pauli_words(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
-    """Words of (x, z) mask arrays, one table lookup for all letters."""
-    q = np.arange(n_qubits, dtype=np.uint64)
-    codes = ((x[:, None] >> q) & 1) + 2 * ((z[:, None] >> q) & 1)
-    return _LETTERS[codes].view(f"S{n_qubits}").ravel().astype(str).tolist()
+    """Words of (x, z) mask arrays from uint8 letter codes filled one qubit at a time."""
+    codes = np.empty((n_qubits, len(x)), dtype=np.uint8)
+    for q in range(n_qubits):
+        codes[q] = ((x >> q) & 1) + 2 * ((z >> q) & 1)
+    text = _LETTERS[codes].T.tobytes().decode("ascii")
+    return [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
 
 
 def _ladder_products(ops: np.ndarray, coeffs: np.ndarray):
@@ -202,45 +204,92 @@ def _merge(xs: list, zs: list, phases: list):
     return x[starts], z[starts], np.add.reduceat(phase, starts)
 
 
-def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
-    """Map a fermionic operator to a combined, pruned Pauli decomposition.
+def _hermitian_pairs(indices: np.ndarray, coeffs: np.ndarray):
+    """One row per Hermitian pair among products of one width, with its coefficient.
 
-    Terms are expanded JW_BLOCK strings at a time. Expanded blocks wait until
-    they hold as many strings as the running result and are then summed into
-    it with one sort, so each string is re-sorted O(log) times. The input
-    must be Hermitian; any imaginary residue above 1e-10 in a combined
-    coefficient is an error rather than something to discard.
+    Creators and annihilators are each sorted into descending order with the
+    sign of the permutation, rows that repeat a creator or an annihilator are
+    dropped (they are zero), and equal rows are summed under an int64 key of 6
+    bits per index. The conjugate T+ of a row T is the key with its two halves
+    swapped. The even-Y strings of T are (T + T+)/2, so a pair becomes the row
+    with the smaller key and the coefficient c_T + c_T+, and a self-conjugate
+    row keeps c_T. Raises ValueError when |c_T - c_T+| exceeds IMAG_TOLERANCE.
+    """
+    n, width = indices.shape
+    k = width // 2
+    cols = [indices[:, i].astype(np.uint8) for i in range(width)]
+    sign = np.ones(n)
+    for lo in (0, k):  # bubble-sort each half, one sign flip per swap
+        for end in range(lo + k - 1, lo, -1):
+            for i in range(lo, end):
+                swap = cols[i] < cols[i + 1]
+                sign[swap] = -sign[swap]
+                cols[i], cols[i + 1] = np.maximum(cols[i], cols[i + 1]), np.minimum(cols[i], cols[i + 1])
+    nonzero = np.ones(n, dtype=bool)
+    keys = np.zeros(n, dtype=np.int64)
+    for i, col in enumerate(cols):
+        if i % k:
+            nonzero &= col != cols[i - 1]
+        keys = keys << 6 | col
+    keys, inverse = np.unique(keys[nonzero], return_inverse=True)
+    c = np.bincount(inverse, weights=(sign * coeffs)[nonzero], minlength=len(keys))
+    low = (1 << 6 * k) - 1
+    conj = (keys >> 6 * k) | ((keys & low) << 6 * k)
+    pos = np.minimum(np.searchsorted(keys, conj), len(keys) - 1)
+    c_conj = np.where(keys[pos] == conj, c[pos], 0.0)
+    mismatch = np.abs(c - c_conj).max(initial=0.0)
+    if mismatch > IMAG_TOLERANCE:
+        raise ValueError(f"non-Hermitian input: a fermion term and its conjugate differ by {mismatch:.3g}")
+    kept = keys <= conj
+    coeffs = np.where(keys < conj, c + c_conj, c)[kept]
+    shifts = 6 * np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (keys[kept, None] >> shifts) & 63, coeffs
+
+
+def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
+    """Map a Hermitian fermionic operator to a combined, pruned Pauli decomposition.
+
+    Product blocks of equal width are joined and reduced to one row per
+    Hermitian pair (`_hermitian_pairs`), which also rejects a non-Hermitian
+    input. Each row expands to its even-Y strings only, JW_BLOCK strings at a
+    time. Expanded blocks wait until they hold as many strings as the running
+    result and are then summed into it with one sort, so each string is
+    re-sorted O(log) times. A product has equal numbers of creators and
+    annihilators, at most 5 of each.
     """
     if n_qubits > MAX_JW_QUBITS:
         raise InputError(f"{n_qubits} qubits exceeds the Jordan-Wigner limit {MAX_JW_QUBITS}")
+    by_width: dict[int, list] = {}
+    for indices, coeffs in ops.products:
+        if indices.shape[1] % 2 or indices.shape[1] > 10:
+            raise ValueError(f"product of {indices.shape[1]} ladder operators: "
+                             "at most 5 creators, then as many annihilators")
+        if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
+            raise ValueError(f"spin orbital index outside {n_qubits} qubits")
+        by_width.setdefault(indices.shape[1], []).append((indices, coeffs))
     # the running result, then the blocks waiting to be merged into it
     xs, zs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
     phases = [np.array([float(ops.constant)])]
     n_result, n_pending = 1, 0
-    for indices, coeffs in ops.products:
-        if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
-            raise ValueError(f"spin orbital index outside {n_qubits} qubits")
-        step = max(1, JW_BLOCK >> indices.shape[1])
+    for width, blocks in sorted(by_width.items()):
+        indices, coeffs = _hermitian_pairs(*(np.concatenate(part) for part in zip(*blocks)))
+        step = max(1, JW_BLOCK >> width)
         for lo in range(0, len(indices), step):
             bx, bz, bp = _ladder_products(indices[lo:lo + step], coeffs[lo:lo + step])
-            xs.append(bx)
-            zs.append(bz)
-            phases.append(bp)
-            n_pending += len(bx)
+            even = np.bitwise_count(bx & bz) % 2 == 0
+            xs.append(bx[even])
+            zs.append(bz[even])
+            phases.append(bp[even])
+            n_pending += len(xs[-1])
             # the lists hold the only references, so a merge can free each part
-            del bx, bz, bp
+            del bx, bz, bp, even
             if n_pending >= n_result:
                 xs, zs, phases = ([part] for part in _merge(xs, zs, phases))
                 n_result, n_pending = len(xs[0]), 0
     x, z, phase = _merge(xs, zs, phases)
-    # X^x Z^z = (-i)^(number of Y) times the word
-    n_y = np.bitwise_count(x & z)
-    odd = n_y % 2 == 1
-    residue = np.abs(phase[odd]).max(initial=0.0)
-    if residue > IMAG_TOLERANCE:
-        raise ValueError(f"non-Hermitian input: Pauli coefficient with imaginary part {residue:.3g}")
-    kept = (np.abs(phase) >= PRUNE_THRESHOLD) & ~odd
-    values = np.where(n_y % 4 == 0, phase, -phase)[kept]
+    # X^x Z^z = (-i)^(number of Y) times the word, and that number is even
+    kept = np.abs(phase) >= PRUNE_THRESHOLD
+    values = np.where(np.bitwise_count(x & z) % 4 == 0, phase, -phase)[kept]
     words = _pauli_words(x[kept], z[kept], n_qubits)
     return QubitHamiltonian(n_qubits=n_qubits, terms=dict(zip(words, values.tolist())))
 

@@ -9,6 +9,7 @@ import qembed.qubits
 from qembed.exceptions import InputError
 from qembed.molecule import nuclear_repulsion
 from qembed.qubits import (
+    IMAG_TOLERANCE,
     FermionOperator,
     MOIntegrals,
     QubitHamiltonian,
@@ -160,6 +161,83 @@ def test_jw_matches_direct_fermionic_matrix(seed, m, constant):
     np.testing.assert_allclose(mat.imag, 0.0, atol=1e-10)
 
 
+def _shuffled(rng, half):
+    """half in a random order and the sign of that permutation."""
+    perm = rng.permutation(len(half))
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    return [half[i] for i in perm], (-1.0) ** inversions
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(2, 5), n_terms=st.integers(1, 6))
+def test_jw_canonicalizes_noncanonical_hermitian_input(seed, n_modes, n_terms):
+    # sum_t c_t (T_t + T_t+), written with shuffled ladder orders, split and
+    # zero rows, and each T and T+ in its own block of the same width
+    rng = np.random.default_rng(seed)
+    up = [ladder_matrix(i, n_modes, True) for i in range(n_modes)]
+    down = [ladder_matrix(i, n_modes, False) for i in range(n_modes)]
+    reference = np.zeros((1 << n_modes, 1 << n_modes))
+    rows = {(k, side): ([], []) for k in (1, 2) for side in "TC"}
+
+    def add(side, creators, annihilators, coeff):
+        creators, s_c = _shuffled(rng, creators)
+        annihilators, s_a = _shuffled(rng, annihilators)
+        indices, coeffs = rows[len(creators), side]
+        indices.append(creators + annihilators)
+        coeffs.append(s_c * s_a * coeff)
+
+    for _ in range(n_terms):
+        k = int(rng.integers(1, 3))
+        creators = rng.choice(n_modes, k, replace=False).tolist()
+        annihilators = rng.choice(n_modes, k, replace=False).tolist()
+        coeff = rng.standard_normal()
+        term = np.linalg.multi_dot([np.eye(1 << n_modes)] + [up[i] for i in creators]
+                                   + [down[i] for i in annihilators])
+        reference += coeff * (term + term.T)
+        part = rng.uniform(-1.0, 1.0)
+        add("T", creators, annihilators, part)
+        add("T", creators, annihilators, coeff - part)
+        add("C", annihilators[::-1], creators[::-1], coeff)
+        p, q, r = rng.choice(n_modes, 3, replace=n_modes < 3).tolist()
+        add("T", [p, p], [q, r], rng.standard_normal())  # a+_p a+_p = 0
+        add("C", [q, r], [p, p], rng.standard_normal())
+    ops = FermionOperator(0.0, tuple((np.array(i, dtype=int).reshape(-1, 2 * k), np.array(c))
+                                     for (k, _), (i, c) in rows.items()))
+    mat = dense_matrix(jordan_wigner(ops, n_modes))
+    np.testing.assert_allclose(mat.real, reference, atol=1e-10)
+    np.testing.assert_allclose(mat.imag, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mismatch", [1.5 * IMAG_TOLERANCE, -1.5 * IMAG_TOLERANCE,
+                                      0.5 * IMAG_TOLERANCE, -0.5 * IMAG_TOLERANCE])
+def test_jw_conjugate_mismatch_at_tolerance(mismatch):
+    # a+_2 a+_0 a_1 a_3 and its conjugate a+_3 a+_1 a_0 a_2
+    rows = np.array([[2, 0, 1, 3], [3, 1, 0, 2]])
+    ops = FermionOperator(0.0, ((rows, np.array([0.5, 0.5 + mismatch])),))
+    if abs(mismatch) > IMAG_TOLERANCE:
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            jordan_wigner(ops, 4)
+        return
+    expected = jordan_wigner(FermionOperator(0.0, ((rows, np.array([0.5, 0.5])),)), 4).terms
+    terms = jordan_wigner(ops, 4).terms
+    assert terms.keys() == expected.keys()
+    assert max(abs(terms[w] - expected[w]) for w in expected) <= IMAG_TOLERANCE
+
+
+def test_jw_hermitian_pair_split_across_blocks():
+    hop = FermionOperator(0.0, ((np.array([[0, 3]]), np.array([1.0])),
+                                (np.array([[3, 0]]), np.array([1.0]))))
+    assert jordan_wigner(hop, 4).terms == {"XZZX": pytest.approx(0.5), "YZZY": pytest.approx(0.5)}
+    term = (np.array([[2, 0, 1, 3]]), np.array([0.25]))
+    conj = (np.array([[3, 1, 0, 2]]), np.array([0.25]))
+    joined = (np.concatenate([term[0], conj[0]]), np.concatenate([term[1], conj[1]]))
+    split = jordan_wigner(FermionOperator(0.0, (term, conj)), 4).terms
+    assert split == jordan_wigner(FermionOperator(0.0, (joined,)), 4).terms
+    assert len(split) == 8
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        jordan_wigner(FermionOperator(0.0, (term,)), 4)
+
+
 def test_jw_hermitian_and_real(water):
     mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C)
     ham = jordan_wigner(second_quantize(mo), 14)
@@ -178,6 +256,10 @@ def test_jw_qubit_and_index_limits():
         jordan_wigner(one_body_operator([[0, 0]], [1.0]), 65)
     with pytest.raises(ValueError, match="outside 2 qubits"):
         jordan_wigner(one_body_operator([[2, 2]], [1.0]), 2)
+    for width in (3, 12):
+        wide = FermionOperator(0.0, ((np.zeros((1, width), dtype=int), np.ones(1)),))
+        with pytest.raises(ValueError, match=f"product of {width} ladder operators"):
+            jordan_wigner(wide, 2)
 
 
 def test_jw_merge_seams(water, monkeypatch):
@@ -319,3 +401,27 @@ def test_no_subthreshold_coefficients_survive(water):
     ham = jordan_wigner(second_quantize(mo), 14)
     assert min(abs(c) for c in ham.terms.values()) >= 1e-12
     assert len(set(ham.terms)) == ham.term_count()
+
+
+@pytest.mark.slow
+def test_butane_full_map_memory(butane):
+    # K = 30, 60 qubits; the bound is about 1.5x the measured 202 MB peak. Expanding
+    # every term without Hermitian pairing and filling uint64 letter codes took 967 MB
+    import tracemalloc
+
+    from qembed.integrals import compute_integrals
+    from qembed.scf import run_rhf
+
+    ints = compute_integrals(butane.basis, butane.mol)
+    mo = mo_transform(ints.h_core, ints.eri, run_rhf(butane.mol, ints).C)
+    ops = second_quantize(mo)
+    del ints
+    tracemalloc.start()
+    try:
+        ham = jordan_wigner(ops, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ham.n_qubits == 60
+    assert ham.term_count() > 600_000
+    assert peak <= 300e6
