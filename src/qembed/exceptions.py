@@ -15,7 +15,7 @@ class InputError(QembedError):
 
 
 class ConvergenceError(QembedError):
-    """An iterative solver (SCF, localization sweeps, Lanczos) failed to converge."""
+    """An iterative solver (SCF, localization sweeps, the sector eigensolver) failed to converge."""
 
 
 class PartitionError(QembedError):

@@ -11,6 +11,7 @@ at once; this caps the map at 64 qubits.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,22 +111,37 @@ class QubitHamiltonian:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def to_json_dict(self) -> dict:
+    def _export_words(self) -> list[str]:
+        """The words written to JSON: sorted, without the identity (it is "constant")."""
         identity = "I" * self.n_qubits
+        return [word for word in sorted(self.terms) if word != identity]
+
+    def to_json_dict(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
             "constant": self.constant,
-            "terms": [
-                {"pauli": word, "coeff": coeff}
-                for word, coeff in sorted(self.terms.items())
-                if word != identity
-            ],
+            "terms": [{"pauli": word, "coeff": self.terms[word]} for word in self._export_words()],
         }
 
     def dump(self, path) -> None:
+        """Write to_json_dict() as json.dump(..., indent=1) does, plus a newline.
+
+        The term list is formatted directly, with json's own string and number
+        formatting: json's indenting encoder runs in pure Python, and took as
+        long as the whole full-system Jordan-Wigner map of methanol.
+        """
+        words = self._export_words()
+        # json.dumps of a flat list runs the C encoder; numbers hold no ", "
+        coeffs = json.dumps([self.terms[word] for word in words])[1:-1].split(", ")
+        terms = "[]"
+        if words:
+            body = ",\n".join(
+                f'  {{\n   "pauli": {encode_basestring_ascii(word)},\n   "coeff": {coeff}\n  }}'
+                for word, coeff in zip(words, coeffs))
+            terms = f"[\n{body}\n ]"
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{{\n "n_qubits": {json.dumps(self.n_qubits)},\n'
+                     f' "constant": {json.dumps(self.constant)},\n "terms": {terms}\n}}\n')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitHamiltonian":

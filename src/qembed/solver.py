@@ -1,24 +1,28 @@
 """Exact ground states: qubit-Hamiltonian diagonalization and a determinant FCI oracle.
 
 The qubit route restricts the basis to occupation strings with the requested
-particle number and S_z before diagonalizing (sparse Lanczos with a seeded
-start vector, dense fallback for small blocks). The sector matrix is built
-from the Pauli words grouped by X mask: each group flips every sector state
-by the same bits, looked up in a rank table over all bitstrings, and
-weights it by a sum of signed Z phases, after the string-driven sigma build
-of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984). The determinant route
-builds the dense configuration-interaction matrix from Slater-Condon rules
-as array expressions: determinants are int64 occupation masks, the diagonal
-comes from the occupation matrix, and blocks of determinant pairs that
-differ by one or two spin orbitals read their indices from the differing
-bits and their fermionic signs from popcounts (bit-string determinant CI as
-in Olsen et al., J. Chem. Phys. 89, 2185 (1988)). It enumerates its own
-determinants and never touches the Pauli machinery, so the two paths check
-each other.
+particle number and S_z before diagonalizing: dense for small blocks,
+otherwise LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) with block
+size 1, a Jacobi preconditioner and a seeded start. The sector matrix is
+built from the Pauli words grouped by X mask. A group flips every state by
+the same bits, and its value on a state is a sum of signed Z phases whose
+sign factors into an alpha-string and a beta-string sign, as in the
+string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984): the
+values of a group over the alpha × beta grid are one small matrix product
+of two sign tables, and its partners are looked up in a rank table over all
+bitstrings. The determinant route builds the dense configuration-interaction
+matrix from Slater-Condon rules as array expressions: determinants are int64
+occupation masks, the diagonal comes from the occupation matrix, and blocks
+of determinant pairs that differ by one or two spin orbitals read their
+indices from the differing bits and their fermionic signs from popcounts
+(bit-string determinant CI as in Olsen et al., J. Chem. Phys. 89, 2185
+(1988)). It enumerates its own determinants and never touches the Pauli
+machinery, so the two paths check each other.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,10 +38,11 @@ from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
 MAX_SECTOR_BYTES = 2 * 2**30
-SIGN_BLOCK = 1 << 20  # (state, word) pairs per sign-matrix block
+CELL_BLOCK = 1 << 16  # (state, group) cells per sector-matrix block
 DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
-LANCZOS_SEED = 0
+EIG_MAXITER = 500
+EIG_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -72,59 +77,100 @@ def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float
     return states[keep]
 
 
-def _x_mask_groups(h: QubitHamiltonian) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Parse every Pauli word into (x, z) masks and group the words by x.
+def _signs(masks: np.ndarray) -> np.ndarray:
+    """(-1) to the number of set bits, as float."""
+    return 1.0 - 2.0 * (np.bitwise_count(masks) & 1)
 
-    Returns (x, z, factors) per distinct x mask. factors has one row per word:
-    its coefficient times the real sign of its phase i^(number of Y), in
-    column 0 for an even Y count (real phase) and in column 1 for an odd one
-    (imaginary phase).
+
+def _sector_blocks(h: QubitHamiltonian, states: np.ndarray, rank: np.ndarray, with_values: bool):
+    """Walk the (state, group) cells of the sector in blocks of about CELL_BLOCK.
+
+    A group is the words of one x mask whose phase i^(number of Y) is real,
+    or those whose phase is imaginary. Groups of equal word count k form a
+    run, cut into chunks of at most CELL_BLOCK // (number of beta strings)
+    groups. Within a chunk the states are walked in alpha-then-beta order,
+    over the grid of the sector's distinct alpha strings (even bits) and
+    distinct beta strings (odd bits), a few alpha strings per block; grid
+    cells outside the sector (rank -1) are skipped.
+
+    Yields (pos, partners, imag, values) per block: the rank of each state,
+    the rank of each state flipped by each group's x mask (-1 outside the
+    sector), which groups are imaginary, and, with_values, each cell's value
+    sum_w f_w (-1)^|s∧z_w| over the group's words, where f_w is the
+    coefficient times the real sign of i^(number of Y). The sign is a
+    product of an alpha and a beta sign, so the values of one group over the
+    grid are the matrix product of an (alpha × k) and a (k × beta) table.
+    It is evaluated one alpha string at a time, (1 × k) by (k × beta) for
+    every group of the chunk in one batched call, so no value depends on the
+    block size: numpy hands a single row to a matrix-vector kernel, whose
+    rounding differs from the matrix-matrix one.
     """
     x, z = (m.astype(np.int64) for m in pauli_masks(h.terms, h.n_qubits))
     n_y = np.bitwise_count(x & z)
     coeffs = np.fromiter(h.terms.values(), dtype=float, count=len(x))
-    factors = np.zeros((len(x), 2))
-    factors[np.arange(len(x)), n_y % 2] = np.where(n_y % 4 < 2, coeffs, -coeffs)
-    order = np.argsort(x, kind="stable")
-    x, z, factors = x[order], z[order], factors[order]
-    bounds = np.append(np.unique(x, return_index=True)[1], len(x))
-    return [(x[lo], z[lo:hi], factors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    factors = np.where(n_y % 4 < 2, coeffs, -coeffs)
+    imag = n_y % 2 == 1
+    order = np.lexsort((imag, x))
+    x, z, factors, imag = x[order], z[order], factors[order], imag[order]
+    opens_group = np.ones(len(x), dtype=bool)
+    opens_group[1:] = (x[1:] != x[:-1]) | (imag[1:] != imag[:-1])
+    starts = np.flatnonzero(opens_group)
+    sizes = np.diff(np.r_[starts, len(x)])
 
-
-def _flip_hits(states: np.ndarray, rank: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """Columns j whose flipped state states[j] ^ x is in the sector (rank >= 0), and its rows."""
-    rows = rank[states ^ x]
-    cols = np.flatnonzero(rows >= 0)
-    return cols, rows[cols]
+    alpha_mask = sum(1 << q for q in range(0, h.n_qubits, 2))
+    alphas = np.unique(states & alpha_mask)
+    betas = np.unique(states & ~alpha_mask)
+    per_chunk = max(1, CELL_BLOCK // len(betas))
+    for k in np.unique(sizes):
+        run = starts[sizes == k]
+        for lo in range(0, len(run), per_chunk):
+            first = run[lo:lo + per_chunk]
+            words = first[:, None] + np.arange(k)
+            per_block = max(1, CELL_BLOCK // (len(first) * len(betas)))
+            if with_values:
+                # (group, alpha, word) and (group, word, beta) tables of (-1)^|s∧z|
+                a_table = _signs(z[words][:, None] & alphas[:, None]) * factors[words][:, None]
+                b_table = _signs(z[words][:, :, None] & betas)[:, None]
+            for a in range(0, len(alphas), per_block):
+                cells = (alphas[a:a + per_block, None] | betas).ravel()
+                pos = rank[cells]
+                inside = pos >= 0
+                values = None
+                if with_values:
+                    grid = np.matmul(a_table[:, a:a + per_block, None], b_table)
+                    values = np.ascontiguousarray(grid.reshape(len(first), -1)[:, inside].T)
+                yield pos[inside], rank[cells[inside, None] ^ x[first]], imag[first], values
 
 
 def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sparse.csr_matrix:
     """Project the Pauli sum onto the (ascending) sector basis.
 
-    The words sharing one x mask act as one bit-flip permutation times a
-    diagonal sum of signed Z phases, so each group adds at most one entry per
-    row and per column and the CSR arrays are filled in place, row by row.
+    Row s holds, for each x-mask group that flips s into the sector, the
+    value of the group at s in column rank(s ^ x): a Hermitian operator with
+    real coefficients is real symmetric once its imaginary part cancels.
     Flipped states are found through a rank table over all 2^n bitstrings
-    (int32, -1 outside the sector), built once for both passes. A first
-    pass counts the entries and refuses a matrix over MAX_SECTOR_BYTES
-    before anything of that size is allocated. Each Pauli word carries a
-    phase of exactly +-1 or +-i, so real and imaginary contributions
-    accumulate separately; the imaginary part must cancel for a Hermitian
-    operator with real coefficients and is checked.
+    (int32, -1 outside the sector). A first pass over the blocks of
+    `_sector_blocks` counts the entries of each row and refuses a matrix over
+    MAX_SECTOR_BYTES before anything of that size is allocated; a second
+    pass writes each row's entries in place, in the caller's state order,
+    in the same group order whatever the block size. Each Pauli word
+    carries a phase of exactly +-1 or +-i; the imaginary groups must cancel
+    on every cell that flips into the sector, and are checked.
     """
     dim = len(states)
-    groups = _x_mask_groups(h)
     rank = np.full(1 << h.n_qubits, -1, dtype=np.int32)
     rank[states] = np.arange(dim, dtype=np.int32)
     per_row = np.zeros(dim, dtype=np.int64)
     nnz = 0
-    for x, _z, _f in groups:
-        cols, _rows = _flip_hits(states, rank, x)
-        per_row[cols] += 1  # the hit rows are the hit columns, flipped
-        nnz += len(cols)
+    for pos, partners, imag, _ in _sector_blocks(h, states, rank, with_values=False):
+        hit = partners >= 0
+        hit[:, imag] = False
+        counts = np.count_nonzero(hit, axis=1)
+        per_row[pos] += counts
+        nnz += int(counts.sum())
         # 12 bytes per entry (float64 value, int32 column), about 40 vectors
-        # of the sector dimension (build buffers and the Lanczos basis), and
-        # the rank table
+        # of the sector dimension (build buffers and eigensolver), and the
+        # rank table
         needed = 12 * nnz + 8 * 40 * dim + rank.nbytes
         if needed > MAX_SECTOR_BYTES:
             raise InputError(
@@ -137,22 +183,52 @@ def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sp
     indices = np.empty(nnz, dtype=index_type)
     data = np.empty(nnz)
     fill = indptr[:-1].copy()
-    for x, z, factors in groups:
-        cols, rows = _flip_hits(states, rank, x)
-        block = max(1, SIGN_BLOCK // len(z))
-        for lo in range(0, len(cols), block):
-            c, r = cols[lo:lo + block], rows[lo:lo + block]
-            signs = 1.0 - 2.0 * (np.bitwise_count(states[c, None] & z) & 1)
-            vals = signs @ factors
-            if np.abs(vals[:, 1]).max() > 1e-10:
+    for pos, partners, imag, vals in _sector_blocks(h, states, rank, with_values=True):
+        hit = partners >= 0
+        if imag.any():
+            if np.abs(vals[:, imag][hit[:, imag]]).max(initial=0.0) > 1e-10:
                 raise InputError("Hamiltonian is not real in the occupation basis")
-            at = fill[r]
-            indices[at] = c
-            data[at] = vals[:, 0]
-            fill[r] += 1
+            hit[:, imag] = False
+        counts = np.count_nonzero(hit, axis=1)
+        # state-major, so each row's entries are contiguous and in group order
+        cell = np.flatnonzero(hit)
+        at = np.repeat(fill[pos] - (np.cumsum(counts) - counts), counts) + np.arange(len(cell))
+        indices[at] = partners.ravel()[cell]
+        data[at] = vals.ravel()[cell]
+        fill[pos] += counts
     return scipy.sparse.csr_matrix(
         (data, indices, indptr.astype(index_type)), shape=(dim, dim)
     )
+
+
+def _lowest_eigenvalue(mat: scipy.sparse.csr_matrix) -> float:
+    """Lowest eigenvalue by LOBPCG with block size 1 and a Jacobi preconditioner.
+
+    The start is a seeded random unit vector, which overlaps every symmetry
+    block, plus the unit vector of the lowest diagonal entry. The residual
+    |Hv - Ev| must reach EIG_TOL * max(1, |E|), the bound ARPACK applies.
+    """
+    diag = mat.diagonal()
+    start = np.random.default_rng(EIG_SEED).standard_normal(len(diag))
+    start /= np.linalg.norm(start)
+    start[np.argmin(diag)] += 1.0
+    precond = scipy.sparse.diags(1.0 / (diag - diag.min() + 0.1))
+    # E lies at or below every diagonal entry, so this is within the bound
+    tol = EIG_TOL * max(1.0, -diag.min())
+    with warnings.catch_warnings():
+        # a missed tolerance is checked and raised below
+        warnings.simplefilter("ignore", UserWarning)
+        vals, vecs = scipy.sparse.linalg.lobpcg(
+            mat, start[:, None], M=precond, tol=tol, maxiter=EIG_MAXITER, largest=False
+        )
+    energy = float(vals[0])
+    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    residual = float(np.linalg.norm(mat @ vec - energy * vec))
+    bound = EIG_TOL * max(1.0, abs(energy))
+    if not residual <= bound:
+        raise ConvergenceError(f"LOBPCG did not converge in {EIG_MAXITER} iterations: "
+                               f"residual {residual:.3g} above {bound:.3g}")
+    return energy
 
 
 def ground_state(
@@ -164,7 +240,7 @@ def ground_state(
     """Lowest eigenvalue of the qubit Hamiltonian in an occupation sector.
 
     With n_electrons=None the full space is searched (s_z is then ignored).
-    method: "auto" picks dense diagonalization for small blocks and Lanczos
+    method: "auto" picks dense diagonalization for small blocks and LOBPCG
     otherwise; "dense"/"sparse" force a route.
     """
     n = h.n_qubits
@@ -185,15 +261,7 @@ def ground_state(
     if method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF) or dim < 5:
         energy = float(np.linalg.eigvalsh(mat.toarray())[0])
     else:
-        rng = np.random.default_rng(LANCZOS_SEED)
-        v0 = rng.standard_normal(dim)
-        try:
-            vals = scipy.sparse.linalg.eigsh(
-                mat, k=1, which="SA", v0=v0, tol=EIG_TOL, maxiter=5000
-            )[0]
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
-        energy = float(vals[0])
+        energy = _lowest_eigenvalue(mat)
     return GroundState(energy=energy, n_qubits=n, sector=sector)
 
 

@@ -34,6 +34,9 @@ XYZ = {
         "H -0.6276 -0.6276 0.6276"
     ),
     "heh+": "2\n\nHe 0 0 0\nH 0 0 0.9295",
+    # triplet ground states: methylene (R = 1.078 A, HCH 133.9 deg) and imidogen
+    "ch2": "3\nmethylene\nC 0 0 0\nH 0 0.9919 0.4222\nH 0 -0.9919 0.4222",
+    "nh": "2\nimidogen\nN 0 0 0\nH 0 0 1.036",
     "nh3": (
         "4\nammonia\n"
         "N 0 0 0.1162\n"
@@ -123,6 +126,21 @@ def ch4():
 @pytest.fixture(scope="session")
 def nh3():
     return get_system("nh3")
+
+
+@pytest.fixture(scope="session")
+def methanol():
+    return get_system("methanol")
+
+
+@pytest.fixture(scope="session")
+def ch2():
+    return get_system("ch2")
+
+
+@pytest.fixture(scope="session")
+def nh():
+    return get_system("nh")
 
 
 @pytest.fixture(scope="session")

@@ -390,6 +390,21 @@ def test_dump_deterministic(tmp_path, h2):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_dump_writes_what_json_module_writes(tmp_path, water):
+    # dump formats the term list itself; json.dump(..., indent=1) is the reference
+    mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C,
+                      constant=nuclear_repulsion(water.mol))
+    hams = [
+        jordan_wigner(second_quantize(mo), 14),
+        QubitHamiltonian(n_qubits=3, terms={"III": 2.5}),
+        QubitHamiltonian(n_qubits=2, terms={"XX": 1e22, "ZI": -1e-300, "IZ": 1, "YY": -0.0}),
+    ]
+    for ham in hams:
+        path = tmp_path / "h.json"
+        ham.dump(path)
+        assert path.read_text() == json.dumps(ham.to_json_dict(), indent=1) + "\n"
+
+
 def test_prune_threshold_drops_tiny_terms():
     mo = MOIntegrals(h=np.array([[1e-13]]), g=np.zeros((1, 1, 1, 1)))
     ham = jordan_wigner(second_quantize(mo), 2)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qembed.solver
-from qembed.exceptions import InputError
+from qembed.embedding import drop_environment_orbitals, run_embedded_scf
+from qembed.exceptions import ConvergenceError, InputError
+from qembed.localize import assign_by_population, population_localize, spade_partition
 from qembed.molecule import nuclear_repulsion
 from qembed.qubits import (
     QubitHamiltonian,
@@ -22,6 +24,19 @@ def full_jw(system, constant=None):
     const = nuclear_repulsion(system.mol) if constant is None else constant
     mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C, constant=const)
     return jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
+
+
+def embedded_jw(system, active, localizer="spade"):
+    """Embedded Hamiltonian and active electron count, as `qembed embed` builds them."""
+    if localizer == "spade":
+        part = spade_partition(system.scf, system.ints.S, system.basis, active)
+    else:
+        c_lmo = population_localize(system.scf, system.ints.S, system.basis)
+        part = assign_by_population(c_lmo, system.ints.S, system.basis, active)
+    problem, emb = run_embedded_scf(part, system.ints, system.mol)
+    c_red = drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+    mo = mo_transform(problem.h_emb, system.ints.eri, c_red, constant=problem.classical_energy)
+    return jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals), problem.n_act_electrons
 
 
 def test_single_z_ground_state():
@@ -151,6 +166,50 @@ def test_lanczos_deterministic(water):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("name", ["ch2", "nh"])
+def test_triplet_ground_state_found_at_s_z_0(name, request):
+    # the lowest state is a triplet, so the sparse S_z = 0 solve must leave
+    # the spin-flip-symmetric part of the sector to reach it
+    system = request.getfixturevalue(name)
+    ham, n_e = full_jw(system), system.mol.n_electrons
+    sparse = ground_state(ham, n_electrons=n_e, s_z=0, method="sparse").energy
+    assert sparse == pytest.approx(
+        ground_state(ham, n_electrons=n_e, s_z=1, method="sparse").energy, abs=1e-9)
+    assert sparse == pytest.approx(
+        ground_state(ham, n_electrons=n_e, s_z=0, method="dense").energy, abs=1e-9)
+
+
+def test_eigensolver_iteration_cap_raises(water, monkeypatch):
+    ham = full_jw(water)
+    monkeypatch.setattr(qembed.solver, "EIG_MAXITER", 1)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        ground_state(ham, n_electrons=10, s_z=0, method="sparse")
+
+
+@pytest.mark.slow
+def test_methanol_20_qubit_sector(methanol):
+    # O and the hydroxyl H active: 20 qubits, sector dimension 63,504
+    ham, n_e = embedded_jw(methanol, (1, 5))
+    assert ham.n_qubits == 20
+    tracemalloc.start()
+    try:
+        energy = ground_state(ham, n_electrons=n_e, s_z=0).energy
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # recorded from the ARPACK solve with per-group assembly
+    assert energy == pytest.approx(-113.5991678215, abs=1e-9)
+    # 1.5 times the 365 MB measured, 354 MB of which is the CSR matrix
+    assert peak <= 550 * 2**20
+
+
+def test_hamiltonian_without_terms():
+    ham = QubitHamiltonian(n_qubits=4)
+    states = _sector_basis(4, 2, None)
+    assert _assemble_sector_matrix(ham, states).nnz == 0
+    assert ground_state(ham, n_electrons=2, s_z=None, method="sparse").energy == 0.0
+
+
 def test_empty_sector_rejected():
     ham = QubitHamiltonian(n_qubits=2, terms={"ZI": 1.0})
     with pytest.raises(InputError, match="empty sector"):
@@ -229,6 +288,31 @@ def test_sector_matrix_is_dense_matrix_restricted(case):
     else:
         mat = _assemble_sector_matrix(ham, states).toarray()
         assert np.abs(mat - block.real).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, active, localizer, block", [
+    ("water", (0, 2), "spade", 7),
+    ("ch4", (0, 1, 2, 3), "population", 1021),
+])
+def test_sector_matrix_block_seams(name, active, localizer, block, request, monkeypatch):
+    # a prime block splits word-count runs into uneven chunks and the alpha
+    # strings into uneven blocks; the CSR arrays must not change by one bit
+    ham, n_e = embedded_jw(request.getfixturevalue(name), active, localizer)
+    states = _sector_basis(ham.n_qubits, n_e, 0)
+    whole = _assemble_sector_matrix(ham, states)
+    monkeypatch.setattr(qembed.solver, "CELL_BLOCK", block)
+    seamed = _assemble_sector_matrix(ham, states)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(whole, part), getattr(seamed, part))
+
+
+def test_embedded_water_sector_is_dense_matrix_restricted(water):
+    ham, n_e = embedded_jw(water, (0, 2))
+    assert ham.n_qubits == 12
+    states = _sector_basis(12, n_e, 0)
+    block = dense_matrix(ham)[np.ix_(states, states)]
+    assert np.abs(block.imag).max() <= 1e-12
+    assert np.abs(_assemble_sector_matrix(ham, states).toarray() - block.real).max() <= 1e-12
 
 
 def test_odd_y_word_not_real_in_sector():
