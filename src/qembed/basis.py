@@ -51,7 +51,7 @@ class BasisFunction:
     coeffs: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: the fields hold arrays
 class BasisSet:
     shells: tuple[Shell, ...]
     functions: tuple[BasisFunction, ...]

@@ -16,13 +16,15 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .basis import build_basis
 from .embedding import (
+    DEFAULT_MU,
+    EmbeddedProblem,
     drop_environment_orbitals,
     run_embedded_scf,
     same_level_energy,
@@ -34,11 +36,11 @@ from .exceptions import (
     ProjectionError,
     QembedError,
 )
-from .integrals import compute_integrals
-from .localize import assign_by_population, population_localize, spade_partition
+from .integrals import IntegralSet, compute_integrals
+from .localize import Partition, assign_by_population, population_localize, spade_partition
 from .molecule import BOHR_PER_ANGSTROM, Atom, Molecule, load_xyz, nuclear_repulsion
-from .qubits import jordan_wigner, mo_transform, second_quantize
-from .scf import run_rhf
+from .qubits import QubitHamiltonian, jordan_wigner, mo_transform, second_quantize
+from .scf import SCFResult, run_rhf
 from .solver import MAX_FCI_ORBITALS, fci_oracle, ground_state
 
 EXIT_OK = 0
@@ -56,7 +58,7 @@ class RunConfig:
     localizer: str = "spade"           # spade | population
     threshold: float = 0.95
     projector: str = "huzinaga"        # huzinaga | mu
-    mu: float = 1e6
+    mu: float = DEFAULT_MU
     solver: str = "exact"              # exact | none
     charge: int = 0
     out: str = "report.json"
@@ -104,12 +106,26 @@ def _partition_for(config: RunConfig, scf, s, basis):
     return assign_by_population(c_lmo, s, basis, config.active_atoms, config.threshold)
 
 
-def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) -> dict:
-    """Execute geometry -> SCF -> partition -> embedding -> qubit map (+solve).
+@dataclass(frozen=True)
+class PipelineResult:
+    """What one embedding run computed, from the molecule to the embedded qubit Hamiltonian."""
 
-    Returns a result dict holding the report payload plus, under private
-    keys, the embedded Hamiltonian ("_hamiltonian") and the full-system
-    integrals and RHF result ("_integrals", "_scf") for further use.
+    mol: Molecule
+    integrals: IntegralSet
+    scf: SCFResult
+    partition: Partition
+    problem: EmbeddedProblem
+    scf_emb: SCFResult
+    e_same_level: float
+    hamiltonian: QubitHamiltonian
+
+
+def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) -> PipelineResult:
+    """Execute geometry -> SCF -> partition -> embedding -> embedded qubit map.
+
+    mol, when given, replaces the geometry file. The sector solve is left to the
+    caller (`_wf_energy`), so `qembed embed` can refuse an oversized full-system map
+    before it runs. A failure is raised as a StageError naming its stage.
     """
     if mol is None:
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
@@ -128,20 +144,38 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
     mo_emb = mo_transform(problem.h_emb, integrals.eri, c_red,
                           constant=problem.classical_energy)
     h_emb = _stage("qubit_map", jordan_wigner, second_quantize(mo_emb), 2 * mo_emb.n_orbitals)
-    mo_full = mo_transform(integrals.h_core, integrals.eri, scf.C,
-                           constant=nuclear_repulsion(mol))
-    h_full = _stage("qubit_map", jordan_wigner, second_quantize(mo_full), 2 * mo_full.n_orbitals)
+    return PipelineResult(mol, integrals, scf, partition, problem, scf_emb, e_same_level, h_emb)
 
+
+def _wf_energy(config: RunConfig, result: PipelineResult) -> Optional[float]:
+    """Rounded exact ground-state energy of the embedded Hamiltonian; None for --solver none."""
+    if config.solver == "none":
+        return None
+    gs = _stage("solver", ground_state, result.hamiltonian,
+                n_electrons=result.problem.n_act_electrons, s_z=0.0)
+    return _round10(gs.energy)
+
+
+def cmd_embed(config: RunConfig) -> int:
+    config.validate()
+    result = run_embedding_pipeline(config)
+    # the full-system map is built for its size only: n_qubits_full and terms_full
+    mo_full = mo_transform(result.integrals.h_core, result.integrals.eri, result.scf.C,
+                           constant=nuclear_repulsion(result.mol))
+    h_full = _stage("qubit_map", jordan_wigner, second_quantize(mo_full), 2 * mo_full.n_orbitals)
+    e_wf = _wf_energy(config, result)
+    partition, problem = result.partition, result.problem
+    ham_path = _hamiltonian_path(config.out)
     report = {
         "molecule": {
-            "n_atoms": mol.n_atoms,
-            "n_electrons": mol.n_electrons,
-            "n_ao": integrals.n_functions,
-            "e_nuc": _round10(nuclear_repulsion(mol)),
+            "n_atoms": result.mol.n_atoms,
+            "n_electrons": result.mol.n_electrons,
+            "n_ao": result.integrals.n_functions,
+            "e_nuc": _round10(nuclear_repulsion(result.mol)),
         },
         "scf": {
-            "e_rhf_total": _round10(scf.E_total),
-            "n_iterations": scf.n_iterations,
+            "e_rhf_total": _round10(result.scf.E_total),
+            "n_iterations": result.scf.n_iterations,
         },
         "partition": {
             "localizer": config.localizer,
@@ -166,44 +200,25 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
             "e_correction": _round10(problem.E_correction),
             "e_nuc": _round10(problem.E_nuc),
             "e_classical": _round10(problem.classical_energy),
-            "embedded_scf_iterations": scf_emb.n_iterations,
-            "embedded_scf_trace": [_round10(e) for e in scf_emb.history],
-            "e_same_level_embedded": _round10(e_same_level),
+            "embedded_scf_iterations": result.scf_emb.n_iterations,
+            "embedded_scf_trace": [_round10(e) for e in result.scf_emb.history],
+            "e_same_level_embedded": _round10(result.e_same_level),
         },
         "resources": {
             "n_qubits_full": h_full.n_qubits,
-            "n_qubits_embedded": h_emb.n_qubits,
+            "n_qubits_embedded": result.hamiltonian.n_qubits,
             "terms_full": h_full.term_count(),
-            "terms_embedded": h_emb.term_count(),
+            "terms_embedded": result.hamiltonian.term_count(),
         },
-        "_hamiltonian": h_emb,
-        "_integrals": integrals,
-        "_scf": scf,
+        "energies": {
+            "e_rhf": _round10(result.scf.E_total),
+            "e_same_level_embedded": _round10(result.e_same_level),
+        },
+        "hamiltonian_file": str(ham_path),
     }
-    if config.solver == "exact":
-        gs = _stage("solver", ground_state, h_emb,
-                    n_electrons=problem.n_act_electrons, s_z=0.0)
-        report["energies"] = {
-            "e_rhf": _round10(scf.E_total),
-            "e_same_level_embedded": _round10(e_same_level),
-            "e_wf_in_lowlevel": _round10(gs.energy),
-        }
-    else:
-        report["energies"] = {
-            "e_rhf": _round10(scf.E_total),
-            "e_same_level_embedded": _round10(e_same_level),
-        }
-    return report
-
-
-def cmd_embed(config: RunConfig) -> int:
-    config.validate()
-    report = run_embedding_pipeline(config)
-    hamiltonian = report.pop("_hamiltonian")
-    del report["_integrals"], report["_scf"]
-    ham_path = _hamiltonian_path(config.out)
-    hamiltonian.dump(ham_path)
-    report["hamiltonian_file"] = str(ham_path)
+    if e_wf is not None:
+        report["energies"]["e_wf_in_lowlevel"] = e_wf
+    result.hamiltonian.dump(ham_path)
     with open(config.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -232,12 +247,12 @@ def _scan_point(args) -> dict:
     row = {"r_angstrom": r_ang, "r_bohr": r_ang * BOHR_PER_ANGSTROM}
     try:
         mol = displace_along_bond(base_mol, pair[0], pair[1], row["r_bohr"])
-        report = run_embedding_pipeline(config, mol=mol)
-        row["e_rhf"] = report["scf"]["e_rhf_total"]
-        row["e_embed"] = report["energies"].get("e_wf_in_lowlevel")
-        if report["molecule"]["n_ao"] <= MAX_FCI_ORBITALS:
-            row["e_fci"] = _round10(fci_oracle(mol, report["_integrals"], report["_scf"]))
-            if row.get("e_embed") is not None:
+        result = run_embedding_pipeline(config, mol=mol)
+        row["e_rhf"] = _round10(result.scf.E_total)
+        row["e_embed"] = _wf_energy(config, result)
+        if result.integrals.n_functions <= MAX_FCI_ORBITALS:
+            row["e_fci"] = _round10(fci_oracle(mol, result.integrals, result.scf))
+            if row["e_embed"] is not None:
                 row["log10_error"] = _round10(
                     float(np.log10(max(abs(row["e_embed"] - row["e_fci"]), 1e-16)))
                 )
@@ -381,18 +396,8 @@ def _build_run_config(merged: dict) -> RunConfig:
         raise InputError("no geometry given (flag --geometry or config file)")
     if "active" not in merged:
         raise InputError("no active atoms given (flag --active or config file)")
-    return RunConfig(
-        geometry=merged["geometry"],
-        active_atoms=_parse_index_list(merged["active"]),
-        localizer=merged.get("localizer", "spade"),
-        threshold=merged.get("threshold", 0.95),
-        projector=merged.get("projector", "huzinaga"),
-        mu=merged.get("mu", 1e6),
-        solver=merged.get("solver", "exact"),
-        charge=merged.get("charge", 0),
-        out=merged.get("out", "report.json"),
-        verbose=merged.get("verbose", 0),
-    )
+    given = {f.name: merged[f.name] for f in fields(RunConfig) if f.name in merged}
+    return RunConfig(active_atoms=_parse_index_list(merged["active"]), **given)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ pair as D_bra @ M @ D_ket^T. The K = 30 ERI tensor takes about a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,7 +175,8 @@ def _pair_index(mu, nu):
     return hi * (hi + 1) // 2 + lo
 
 
-def _pair_classes(basis: BasisSet) -> list[_PairClass]:
+@lru_cache(maxsize=1)  # the last basis, by identity: the four integral functions share one table
+def _pair_classes(basis: BasisSet) -> tuple[_PairClass, ...]:
     """Bucket every unordered pair of exponent shells by its (bra, ket) components."""
     funcs = basis.functions
     shells: dict[tuple, list[int]] = {}
@@ -188,7 +190,7 @@ def _pair_classes(basis: BasisSet) -> list[_PairClass]:
         for b in range(a + 1):
             bra, ket = (a, b) if kinds[a] >= kinds[b] else (b, a)
             buckets.setdefault((kinds[bra], kinds[ket]), []).append((aos[bra], aos[ket]))
-    return [_pair_class(funcs, buckets[key]) for key in sorted(buckets)]
+    return tuple(_pair_class(funcs, buckets[key]) for key in sorted(buckets))
 
 
 def _pair_class(funcs, pairs) -> _PairClass:

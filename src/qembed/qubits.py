@@ -268,10 +268,9 @@ def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
     Product blocks of equal width are joined and reduced to one row per
     Hermitian pair (`_hermitian_pairs`), which also rejects a non-Hermitian
     input. Each row expands to its even-Y strings only, JW_BLOCK strings at a
-    time. Expanded blocks wait until they hold as many strings as the running
-    result and are then summed into it with one sort, so each string is
-    re-sorted O(log) times. A product has equal numbers of creators and
-    annihilators, at most 5 of each.
+    time, which bounds the expansion temporaries. The strings of all blocks are
+    then merged once: one sort sums equal strings. A product has equal numbers
+    of creators and annihilators, at most 5 of each.
     """
     if n_qubits > MAX_JW_QUBITS:
         raise InputError(f"{n_qubits} qubits exceeds the Jordan-Wigner limit {MAX_JW_QUBITS}")
@@ -283,10 +282,9 @@ def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
         if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
             raise ValueError(f"spin orbital index outside {n_qubits} qubits")
         by_width.setdefault(indices.shape[1], []).append((indices, coeffs))
-    # the running result, then the blocks waiting to be merged into it
+    # the constant, then the even-Y strings of every block, summed by one merge
     xs, zs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
     phases = [np.array([float(ops.constant)])]
-    n_result, n_pending = 1, 0
     for width, blocks in sorted(by_width.items()):
         indices, coeffs = _hermitian_pairs(*(np.concatenate(part) for part in zip(*blocks)))
         step = max(1, JW_BLOCK >> width)
@@ -296,12 +294,6 @@ def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
             xs.append(bx[even])
             zs.append(bz[even])
             phases.append(bp[even])
-            n_pending += len(xs[-1])
-            # the lists hold the only references, so a merge can free each part
-            del bx, bz, bp, even
-            if n_pending >= n_result:
-                xs, zs, phases = ([part] for part in _merge(xs, zs, phases))
-                n_result, n_pending = len(xs[0]), 0
     x, z, phase = _merge(xs, zs, phases)
     # X^x Z^z = (-i)^(number of Y) times the word, and that number is even
     kept = np.abs(phase) >= PRUNE_THRESHOLD

@@ -9,6 +9,7 @@ from qembed.cli import (
     EXIT_PROJECTION,
     RunConfig,
     StageError,
+    _build_run_config,
     cmd_embed,
     cmd_scan,
     displace_along_bond,
@@ -315,3 +316,50 @@ def test_scan_worker_environment_is_single_threaded_and_restored(monkeypatch):
         assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_build_run_config_takes_the_dataclass_defaults(water_file):
+    assert _build_run_config({"geometry": water_file, "active": "0"}) == RunConfig(water_file, (0,))
+
+
+def test_scan_point_builds_one_qubit_map(tmp_path, h2_file, monkeypatch):
+    import qembed.cli as cli
+
+    calls = []
+    original = cli.jordan_wigner
+
+    def counting(ops, n_qubits):
+        calls.append(n_qubits)
+        return original(ops, n_qubits)
+
+    monkeypatch.setattr(cli, "jordan_wigner", counting)
+    config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(tmp_path / "scan.txt"))
+    assert cmd_scan(config, (0, 1), [0.6, 0.9, 1.2]) == 0
+    assert len(calls) == 3
+
+
+def test_scan_is_not_bound_by_the_full_map_limit(tmp_path, water_file, monkeypatch):
+    # active O and H2 map to 12 qubits; the whole molecule would need 14
+    import qembed.qubits
+
+    monkeypatch.setattr(qembed.qubits, "MAX_JW_QUBITS", 12)
+    out = tmp_path / "scan.txt"
+    config = RunConfig(geometry=water_file, active_atoms=(0, 2), out=str(out))
+    assert cmd_scan(config, (0, 2), [0.9, 1.0, 1.1]) == 0
+    rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [row[-1] for row in rows] == ["ok"] * 3
+
+
+def test_embed_refuses_the_full_map_before_solving(tmp_path, water_file, monkeypatch, capsys):
+    import qembed.cli as cli
+    import qembed.qubits
+
+    def never(*args, **kwargs):
+        pytest.fail("the sector solve ran before the full-map refusal")
+
+    monkeypatch.setattr(qembed.qubits, "MAX_JW_QUBITS", 12)
+    monkeypatch.setattr(cli, "ground_state", never)
+    code = main(["embed", "--geometry", water_file, "--active", "0,2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_CONFIG
+    assert "[qubit_map]" in capsys.readouterr().err

@@ -418,3 +418,38 @@ def test_butane_eri_symmetric_definite_and_bounded(butane):
                  (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]:
         assert np.array_equal(eri, eri.transpose(perm))
     assert np.linalg.eigvalsh(eri.reshape(k * k, k * k)).min() >= -1e-12
+
+
+def test_one_pair_table_per_compute_integrals(water, monkeypatch):
+    # water has three shell-pair classes (s.s, sp.s, sp.sp); S, T, V and the ERI
+    # tensor of one compute_integrals call share one table
+    import qembed.integrals
+
+    built = []
+    original = qembed.integrals._pair_class
+
+    def counting(funcs, pairs):
+        built.append(len(pairs))
+        return original(funcs, pairs)
+
+    monkeypatch.setattr(qembed.integrals, "_pair_class", counting)
+    qembed.integrals._pair_classes.cache_clear()
+    compute_integrals(build_basis(water.mol), water.mol)
+    assert len(built) == 3
+
+
+def test_pair_table_cache_follows_the_basis(water):
+    # a new basis at another geometry must not reuse the table of the last one
+    from qembed.integrals import _pair_classes
+
+    atoms = list(water.mol.atoms)
+    atoms[1] = Atom(atoms[1].symbol, atoms[1].z, atoms[1].position + np.array([0.0, 0.3, -0.1]))
+    moved = Molecule(tuple(atoms))
+    compute_integrals(build_basis(water.mol), water.mol)
+    basis = build_basis(moved)
+    cached = compute_integrals(basis, moved)
+    _pair_classes.cache_clear()
+    fresh = compute_integrals(basis, moved)
+    for name in ("S", "T", "V", "eri"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+    assert not np.array_equal(cached.S, water.ints.S)
