@@ -44,10 +44,6 @@ class Partition:
     def n_env(self) -> int:
         return len(self.env_idx)
 
-    @property
-    def n_active_electrons(self) -> int:
-        return 2 * len(self.active_idx)
-
 
 def lowdin_half(s: np.ndarray) -> np.ndarray:
     """S^(1/2) by eigendecomposition."""

@@ -1,18 +1,18 @@
 """MO-basis integrals, second quantization, and the Jordan-Wigner mapping.
 
 Spin orbitals are interleaved: qubit 2p is the alpha spin of spatial
-orbital p, qubit 2p+1 the beta spin. Pauli words are written with qubit 0
-as the first character. Internally Pauli strings are carried as arrays of
-uint64 symplectic masks (x, z) for the operator X^x Z^z with a real phase,
-so a product of ladder operators reduces to bit arithmetic over all terms
-at once; this caps the map at 64 qubits.
+orbital p, qubit 2p+1 the beta spin. Pauli strings, the finished Hamiltonian
+included, are carried as arrays of uint64 symplectic masks (x, z) for the
+operator X^x Z^z with a real phase, so a product of ladder operators reduces
+to bit arithmetic over all terms at once; this caps the map at 64 qubits.
+Pauli words, qubit 0 first, are spelled out only for export (`terms`).
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,31 +97,46 @@ def second_quantize(mo: MOIntegrals) -> FermionOperator:
         (one_body, one_coeffs), (two_body[keep], np.repeat(half_g[p, q, r, s], 4)[keep])))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QubitHamiltonian:
-    """Real-coefficient Pauli decomposition of a Hermitian operator."""
+    """Real Pauli sum: coeffs[t] times the word of masks (x[t], z[t]), no (x, z) pair twice."""
 
     n_qubits: int
-    terms: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray          # (T,) uint64
+    z: np.ndarray          # (T,) uint64
+    coeffs: np.ndarray     # (T,) float64
+
+    @classmethod
+    def from_terms(cls, n_qubits: int, terms) -> "QubitHamiltonian":
+        """Parse (word, coefficient) pairs; a malformed or repeated word raises InputError."""
+        terms = list(terms)
+        x, z = pauli_masks([word for word, _ in terms], n_qubits)
+        if len(np.unique(np.stack([x, z], axis=1), axis=0)) < len(x):
+            raise InputError("repeated Pauli word")
+        return cls(n_qubits, x, z, np.array([c for _, c in terms], dtype=float))
 
     @property
     def constant(self) -> float:
-        return self.terms.get("I" * self.n_qubits, 0.0)
+        return float(self.coeffs[(self.x | self.z) == 0].sum())
+
+    @property
+    def terms(self) -> dict[str, float]:
+        """Word -> coefficient, sorted by word; the one place words are built."""
+        words, coeffs = _pauli_words(self.x, self.z, self.n_qubits), self.coeffs.tolist()
+        return {words[i]: coeffs[i] for i in sorted(range(len(words)), key=words.__getitem__)}
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
-    def _export_words(self) -> list[str]:
-        """The words written to JSON: sorted, without the identity (it is "constant")."""
-        identity = "I" * self.n_qubits
-        return [word for word in sorted(self.terms) if word != identity]
+    def _export(self) -> tuple[float, dict[str, float]]:
+        """The JSON content: the identity's coefficient as constant, and the other terms."""
+        terms = self.terms
+        return terms.pop("I" * self.n_qubits, 0.0), terms
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "constant": self.constant,
-            "terms": [{"pauli": word, "coeff": self.terms[word]} for word in self._export_words()],
-        }
+        constant, terms = self._export()
+        return {"n_qubits": self.n_qubits, "constant": constant,
+                "terms": [{"pauli": word, "coeff": coeff} for word, coeff in terms.items()]}
 
     def dump(self, path) -> None:
         """Write to_json_dict() as json.dump(..., indent=1) does, plus a newline.
@@ -130,27 +145,23 @@ class QubitHamiltonian:
         formatting: json's indenting encoder runs in pure Python, and took as
         long as the whole full-system Jordan-Wigner map of methanol.
         """
-        words = self._export_words()
+        constant, terms = self._export()
         # json.dumps of a flat list runs the C encoder; numbers hold no ", "
-        coeffs = json.dumps([self.terms[word] for word in words])[1:-1].split(", ")
-        terms = "[]"
-        if words:
-            body = ",\n".join(
-                f'  {{\n   "pauli": {encode_basestring_ascii(word)},\n   "coeff": {coeff}\n  }}'
-                for word, coeff in zip(words, coeffs))
-            terms = f"[\n{body}\n ]"
+        coeffs = json.dumps(list(terms.values()))[1:-1].split(", ")
+        body = ",\n".join(f'  {{\n   "pauli": {encode_basestring_ascii(word)},\n'
+                           f'   "coeff": {coeff}\n  }}' for word, coeff in zip(terms, coeffs))
+        body = f"[\n{body}\n ]" if terms else "[]"
         with open(path, "w") as fh:
             fh.write(f'{{\n "n_qubits": {json.dumps(self.n_qubits)},\n'
-                     f' "constant": {json.dumps(self.constant)},\n "terms": {terms}\n}}\n')
+                     f' "constant": {json.dumps(constant)},\n "terms": {body}\n}}\n')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitHamiltonian":
         n = int(data["n_qubits"])
-        terms = {t["pauli"]: float(t["coeff"]) for t in data["terms"]}
+        terms = [(t["pauli"], float(t["coeff"])) for t in data["terms"]]
         if data.get("constant", 0.0) != 0.0:
-            terms["I" * n] = float(data["constant"])
-        pauli_masks(terms, n)  # validates every word
-        return cls(n_qubits=n, terms=terms)
+            terms.append(("I" * n, float(data["constant"])))
+        return cls.from_terms(n, terms)
 
 
 def pauli_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,19 +308,17 @@ def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
     x, z, phase = _merge(xs, zs, phases)
     # X^x Z^z = (-i)^(number of Y) times the word, and that number is even
     kept = np.abs(phase) >= PRUNE_THRESHOLD
-    values = np.where(np.bitwise_count(x & z) % 4 == 0, phase, -phase)[kept]
-    words = _pauli_words(x[kept], z[kept], n_qubits)
-    return QubitHamiltonian(n_qubits=n_qubits, terms=dict(zip(words, values.tolist())))
+    coeffs = np.where(np.bitwise_count(x & z) % 4 == 0, phase, -phase)
+    return QubitHamiltonian(n_qubits, x[kept], z[kept], coeffs[kept])
 
 
 def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     """Dense matrix over the full 2^n space; for small-n validation only."""
     if h.n_qubits > 14:
         raise ValueError(f"dense matrix for {h.n_qubits} qubits is too large")
-    x, z = (m.astype(np.int64) for m in pauli_masks(h.terms, h.n_qubits))
-    cols = np.arange(1 << h.n_qubits)
+    cols = np.arange(1 << h.n_qubits, dtype=np.uint64)
     mat = np.zeros((len(cols), len(cols)), dtype=complex)
-    for xw, zw, n_y, coeff in zip(x, z, np.bitwise_count(x & z), h.terms.values()):
+    for xw, zw, n_y, coeff in zip(h.x, h.z, np.bitwise_count(h.x & h.z), h.coeffs):
         signs = 1.0 - 2.0 * (np.bitwise_count(cols & zw) % 2)
         mat[cols ^ xw, cols] += coeff * 1j ** int(n_y % 4) * signs
     return mat

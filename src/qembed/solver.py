@@ -4,7 +4,7 @@ The qubit route restricts the basis to occupation strings with the requested
 particle number and S_z before diagonalizing: dense for small blocks,
 otherwise LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) with block
 size 1, a Jacobi preconditioner and a seeded start. The sector matrix is
-built from the Pauli words grouped by X mask. A group flips every state by
+built from the Pauli terms grouped by X mask. A group flips every state by
 the same bits, and its value on a state is a sum of signed Z phases whose
 sign factors into an alpha-string and a beta-string sign, as in the
 string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984): the
@@ -33,7 +33,7 @@ import scipy.sparse.linalg
 from .exceptions import ConvergenceError, InputError
 from .integrals import IntegralSet
 from .molecule import Molecule, nuclear_repulsion
-from .qubits import QubitHamiltonian, pauli_masks
+from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
@@ -60,21 +60,21 @@ def _twice_sz(s_z: float) -> int:
 
 
 def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float]) -> np.ndarray:
-    """Ascending occupation bitstrings in the requested (N, S_z) sector.
+    """Ascending occupation bitstrings in the (N, S_z) sector; None leaves one free.
 
-    Spin orbitals are interleaved (even bit = alpha), so S_z of a string is
-    half the difference of set even and odd bits. None leaves that quantum
-    number free.
+    Spin orbitals are interleaved (even bit = alpha). Each allowed (n_alpha, n_beta)
+    split ORs every alpha string with every beta string, so no other string is built.
     """
-    states = np.arange(1 << n_qubits, dtype=np.int64)
-    n = np.bitwise_count(states)
-    keep = np.ones(states.shape, dtype=bool)
-    if n_electrons is not None:
-        keep &= n == n_electrons
-    if s_z is not None:
-        n_alpha = np.bitwise_count(states & np.int64(0x5555555555555555))
-        keep &= 2 * n_alpha.astype(np.int64) - n == _twice_sz(s_z)
-    return states[keep]
+    twice_sz = None if s_z is None else _twice_sz(s_z)
+    halves = [np.zeros(1, dtype=np.int64)] * 2  # all strings over the even, the odd bits
+    for q in range(n_qubits):
+        halves[q % 2] = np.concatenate([halves[q % 2], halves[q % 2] | (1 << q)])
+    alphas, betas = halves
+    n_alpha, n_beta = np.bitwise_count(alphas), np.bitwise_count(betas)
+    parts = [(alphas[n_alpha == a, None] | betas[n_beta == b]).ravel()
+             for a in range(int(n_alpha.max()) + 1) for b in range(int(n_beta.max()) + 1)
+             if n_electrons in (None, a + b) and twice_sz in (None, a - b)]
+    return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
 
 
 def _signs(masks: np.ndarray) -> np.ndarray:
@@ -105,10 +105,9 @@ def _sector_blocks(h: QubitHamiltonian, states: np.ndarray, rank: np.ndarray, wi
     block size: numpy hands a single row to a matrix-vector kernel, whose
     rounding differs from the matrix-matrix one.
     """
-    x, z = (m.astype(np.int64) for m in pauli_masks(h.terms, h.n_qubits))
+    x, z = h.x.astype(np.int64), h.z.astype(np.int64)
     n_y = np.bitwise_count(x & z)
-    coeffs = np.fromiter(h.terms.values(), dtype=float, count=len(x))
-    factors = np.where(n_y % 4 < 2, coeffs, -coeffs)
+    factors = np.where(n_y % 4 < 2, h.coeffs, -h.coeffs)
     imag = n_y % 2 == 1
     order = np.lexsort((imag, x))
     x, z, factors, imag = x[order], z[order], factors[order], imag[order]
@@ -246,14 +245,10 @@ def ground_state(
     n = h.n_qubits
     if n > MAX_QUBITS:
         raise InputError(f"{n} qubits exceeds the exact-diagonalization limit {MAX_QUBITS}")
-    if n_electrons is None:
-        if n > 14:
-            raise InputError(f"full-space search over {n} qubits is not supported; give a sector")
-        states = _sector_basis(n, None, None)
-        sector = "full space"
-    else:
-        states = _sector_basis(n, n_electrons, s_z)
-        sector = f"(n={n_electrons}, s_z={s_z})"
+    if n_electrons is None and n > 14:
+        raise InputError(f"full-space search over {n} qubits is not supported; give a sector")
+    states = _sector_basis(n, n_electrons, None if n_electrons is None else s_z)
+    sector = "full space" if n_electrons is None else f"(n={n_electrons}, s_z={s_z})"
     if not states.size:
         raise InputError(f"empty sector {sector} for {n} qubits")
     mat = _assemble_sector_matrix(h, states)

@@ -93,6 +93,41 @@ def test_embed_water_report(tmp_path, water_file):
     assert len(ham["terms"]) == report["resources"]["terms_embedded"] - 1
 
 
+def test_embed_builds_words_only_for_the_dump(tmp_path, water_file, monkeypatch):
+    # the Hamiltonian is held as (x, z, coeff) arrays: the JSON dump is the one
+    # place that spells out Pauli words, and the solver never parses them
+    import qembed.cli
+    import qembed.qubits
+    import qembed.solver
+
+    build, solve = qembed.qubits._pauli_words, qembed.cli.ground_state
+    built, solved = [], []
+
+    def counted_words(*args):
+        built.append(args)
+        return build(*args)
+
+    def recorded_solve(ham, **kwargs):
+        solved.append((ham, kwargs, solve(ham, **kwargs)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(qembed.qubits, "_pauli_words", counted_words)
+    monkeypatch.setattr(qembed.cli, "ground_state", recorded_solve)
+    config = RunConfig(geometry=water_file, active_atoms=(0, 1), solver="exact",
+                       out=str(tmp_path / "report.json"))
+    assert cmd_embed(config) == 0
+    assert len(built) == 1
+
+    def refuse(*args):
+        raise AssertionError("Pauli words parsed")
+
+    monkeypatch.setattr(qembed.qubits, "pauli_masks", refuse)
+    # and any name for it that the solver module may bind
+    monkeypatch.setattr(qembed.solver, "pauli_masks", refuse, raising=False)
+    (ham, kwargs, gs), = solved
+    assert solve(ham, **kwargs).energy == gs.energy
+
+
 def test_report_self_consistency(tmp_path, water_file):
     out = tmp_path / "r.json"
     config = RunConfig(geometry=water_file, active_atoms=(0, 2), out=str(out))

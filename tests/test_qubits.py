@@ -360,12 +360,29 @@ def test_json_schema_and_ordering(tmp_path, h2):
     assert "IIII" not in words  # identity lives in "constant"
     back = QubitHamiltonian.from_json_dict(data)
     assert back.terms == pytest.approx(ham.terms)
+    # the arrays survive the round trip bit for bit, in (x, z) order
+    arrays = []
+    for h in (ham, back):
+        order = np.lexsort((h.z, h.x))
+        arrays.append([(a.dtype, a[order].tobytes()) for a in (h.x, h.z, h.coeffs)])
+    assert arrays[0] == arrays[1]
 
 
 @pytest.mark.parametrize("word", ["ZZZ", "Z", "ZQ", "zz", "Zé"])
 def test_from_json_rejects_malformed_words(word):
     data = {"n_qubits": 2, "constant": -1.0, "terms": [{"pauli": word, "coeff": 0.5}]}
     with pytest.raises(InputError, match="Pauli word"):
+        QubitHamiltonian.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"n_qubits": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "Z", "coeff": 2.0}]},
+    {"n_qubits": 2, "constant": 0.5, "terms": [{"pauli": "II", "coeff": 1.0}]},
+])
+def test_from_json_rejects_repeated_words(data):
+    # a repeated word, or an identity word beside a nonzero constant, used to
+    # overwrite the earlier term without notice
+    with pytest.raises(InputError, match="repeated"):
         QubitHamiltonian.from_json_dict(data)
 
 
@@ -396,8 +413,8 @@ def test_dump_writes_what_json_module_writes(tmp_path, water):
                       constant=nuclear_repulsion(water.mol))
     hams = [
         jordan_wigner(second_quantize(mo), 14),
-        QubitHamiltonian(n_qubits=3, terms={"III": 2.5}),
-        QubitHamiltonian(n_qubits=2, terms={"XX": 1e22, "ZI": -1e-300, "IZ": 1, "YY": -0.0}),
+        QubitHamiltonian.from_terms(3, [("III", 2.5)]),
+        QubitHamiltonian.from_terms(2, [("XX", 1e22), ("ZI", -1e-300), ("IZ", 1), ("YY", -0.0)]),
     ]
     for ham in hams:
         path = tmp_path / "h.json"

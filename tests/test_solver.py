@@ -40,7 +40,7 @@ def embedded_jw(system, active, localizer="spade"):
 
 
 def test_single_z_ground_state():
-    ham = QubitHamiltonian(n_qubits=1, terms={"Z": -1.0})
+    ham = QubitHamiltonian.from_terms(1, [("Z", -1.0)])
     gs = ground_state(ham)
     assert gs.energy == pytest.approx(-1.0, abs=1e-12)
     assert gs.sector == "full space"
@@ -203,22 +203,35 @@ def test_methanol_20_qubit_sector(methanol):
     assert peak <= 550 * 2**20
 
 
+def test_sector_basis_memory():
+    # enumerating all 2^24 bitstrings with popcount temporaries peaked at 320 MB
+    tracemalloc.start()
+    try:
+        states = _sector_basis(24, 12, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 924**2  # C(12, 6) alpha strings times as many beta strings
+    assert np.all(np.diff(states) > 0)
+    assert peak <= 64 * 2**20
+
+
 def test_hamiltonian_without_terms():
-    ham = QubitHamiltonian(n_qubits=4)
+    ham = QubitHamiltonian.from_terms(4, [])
     states = _sector_basis(4, 2, None)
     assert _assemble_sector_matrix(ham, states).nnz == 0
     assert ground_state(ham, n_electrons=2, s_z=None, method="sparse").energy == 0.0
 
 
 def test_empty_sector_rejected():
-    ham = QubitHamiltonian(n_qubits=2, terms={"ZI": 1.0})
+    ham = QubitHamiltonian.from_terms(2, [("ZI", 1.0)])
     with pytest.raises(InputError, match="empty sector"):
         ground_state(ham, n_electrons=3, s_z=0)
 
 
 def test_non_half_integer_s_z_rejected(water):
     # 2 s_z used to be rounded, so s_z = 0.2 silently gave the S_z = 0 result
-    ham = QubitHamiltonian(n_qubits=4, terms={"ZIII": 1.0})
+    ham = QubitHamiltonian.from_terms(4, [("ZIII", 1.0)])
     with pytest.raises(InputError, match="multiple of 1/2"):
         ground_state(ham, n_electrons=2, s_z=0.2)
     with pytest.raises(InputError, match="multiple of 1/2"):
@@ -226,7 +239,7 @@ def test_non_half_integer_s_z_rejected(water):
 
 
 def test_qubit_limit_enforced():
-    ham = QubitHamiltonian(n_qubits=30, terms={"I" * 30: 1.0})
+    ham = QubitHamiltonian.from_terms(30, [("I" * 30, 1.0)])
     with pytest.raises(InputError, match="exceeds"):
         ground_state(ham, n_electrons=2, s_z=0)
 
@@ -262,7 +275,7 @@ def pauli_sums_and_sectors(draw):
     terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=12))
     n_electrons = draw(st.none() | st.integers(0, n))
     s_z = draw(st.none() | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
-    return QubitHamiltonian(n_qubits=n, terms=terms), n_electrons, s_z
+    return QubitHamiltonian.from_terms(n, terms.items()), n_electrons, s_z
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,7 +330,7 @@ def test_embedded_water_sector_is_dense_matrix_restricted(water):
 
 def test_odd_y_word_not_real_in_sector():
     # XY is Hermitian, but in the N=1 sector its elements are +-i
-    ham = QubitHamiltonian(n_qubits=2, terms={"XY": 1.0})
+    ham = QubitHamiltonian.from_terms(2, [("XY", 1.0)])
     with pytest.raises(InputError, match="not real"):
         ground_state(ham, n_electrons=1, s_z=None)
 
