@@ -15,7 +15,6 @@ from .embedding import (
     mu_projector,
     run_embedded_scf,
     same_level_energy,
-    wf_in_lowlevel_constant,
 )
 from .exceptions import (
     ConvergenceError,
@@ -81,5 +80,4 @@ __all__ = [
     "same_level_energy",
     "second_quantize",
     "spade_partition",
-    "wf_in_lowlevel_constant",
 ]

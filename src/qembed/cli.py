@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import multiprocessing
 import os
 import sys
@@ -29,13 +30,7 @@ from .embedding import (
     run_embedded_scf,
     same_level_energy,
 )
-from .exceptions import (
-    ConvergenceError,
-    InputError,
-    PartitionError,
-    ProjectionError,
-    QembedError,
-)
+from .exceptions import ConvergenceError, InputError, ProjectionError, QembedError
 from .integrals import IntegralSet, compute_integrals
 from .localize import Partition, assign_by_population, population_localize, spade_partition
 from .molecule import BOHR_PER_ANGSTROM, Atom, Molecule, load_xyz, nuclear_repulsion
@@ -49,28 +44,30 @@ EXIT_CONVERGENCE = 3
 EXIT_PROJECTION = 4
 # thread counts that OpenBLAS, MKL and OpenMP read once, when the library loads
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# allowed values of the RunConfig fields that take a name; the parser offers the same
+_CHOICES = {
+    "localizer": ("spade", "population"),
+    "projector": ("huzinaga", "mu"),
+    "solver": ("exact", "none"),
+}
 
 
 @dataclass
 class RunConfig:
     geometry: str
     active_atoms: tuple[int, ...]
-    localizer: str = "spade"           # spade | population
+    localizer: str = "spade"
     threshold: float = 0.95
-    projector: str = "huzinaga"        # huzinaga | mu
+    projector: str = "huzinaga"
     mu: float = DEFAULT_MU
-    solver: str = "exact"              # exact | none
+    solver: str = "exact"
     charge: int = 0
     out: str = "report.json"
-    verbose: int = 0
 
     def validate(self) -> None:
-        if self.localizer not in ("spade", "population"):
-            raise InputError(f"unknown localizer {self.localizer!r}")
-        if self.projector not in ("huzinaga", "mu"):
-            raise InputError(f"unknown projector {self.projector!r}")
-        if self.solver not in ("exact", "none"):
-            raise InputError(f"unknown solver {self.solver!r}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise InputError(f"unknown {key} {getattr(self, key)!r}")
         if not self.active_atoms:
             raise InputError("active atom list is empty")
         if not (0.0 < self.threshold <= 1.0):
@@ -131,12 +128,12 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
     basis = _stage("basis", build_basis, mol)
     integrals = _stage("integrals", compute_integrals, basis, mol)
-    scf = _stage("scf", run_rhf, mol, integrals, verbose=config.verbose)
+    scf = _stage("scf", run_rhf, mol, integrals)
     partition = _stage("partition", _partition_for, config, scf, integrals.S, basis)
     problem, scf_emb = _stage(
         "embedding", run_embedded_scf,
         partition, integrals, mol,
-        projector_kind=config.projector, mu=config.mu, verbose=config.verbose,
+        projector_kind=config.projector, mu=config.mu,
     )
     e_same_level = same_level_energy(problem, scf_emb.gamma, integrals)
 
@@ -165,7 +162,7 @@ def cmd_embed(config: RunConfig) -> int:
     h_full = _stage("qubit_map", jordan_wigner, second_quantize(mo_full), 2 * mo_full.n_orbitals)
     e_wf = _wf_energy(config, result)
     partition, problem = result.partition, result.problem
-    ham_path = _hamiltonian_path(config.out)
+    ham_path = config.out.removesuffix(".json") + ".hamiltonian.json"
     report = {
         "molecule": {
             "n_atoms": result.mol.n_atoms,
@@ -226,11 +223,6 @@ def cmd_embed(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _hamiltonian_path(out: str) -> str:
-    stem = out[:-5] if out.endswith(".json") else out
-    return stem + ".hamiltonian.json"
-
-
 def displace_along_bond(mol: Molecule, i: int, j: int, r_bohr: float) -> Molecule:
     """Move atom j along the i->j axis to distance r; other atoms fixed."""
     if i == j or not (0 <= i < mol.n_atoms and 0 <= j < mol.n_atoms):
@@ -257,12 +249,9 @@ def _scan_point(args) -> dict:
                     float(np.log10(max(abs(row["e_embed"] - row["e_fci"]), 1e-16)))
                 )
         row["status"] = "ok"
-    except StageError as exc:
-        row["status"] = f"error:{exc.stage}"
-        row["message"] = str(exc.original)
-    except QembedError as exc:
-        row["status"] = "error"
-        row["message"] = str(exc)
+    except (StageError, QembedError) as exc:
+        row["status"] = f"error:{exc.stage}" if isinstance(exc, StageError) else "error"
+        row["message"] = str(getattr(exc, "original", exc))
     return row
 
 
@@ -296,8 +285,11 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     tasks = [(config, base_mol, atoms, r) for r in grid]
     if jobs > 1:
         # spawned workers import numpy afresh, so they load BLAS single-threaded
+        # and start with this process's logging, so --verbose reaches them
         spawn = multiprocessing.get_context("spawn")
-        with _single_threaded_blas_children(), ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
+        level = logging.getLogger("qembed").getEffectiveLevel()
+        with _single_threaded_blas_children(), ProcessPoolExecutor(
+                jobs, mp_context=spawn, initializer=_configure_logging, initargs=(level,)) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]
@@ -309,19 +301,13 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
 
 def _write_scan_table(path: str, rows: list[dict]) -> None:
     cols = ["r_angstrom", "r_bohr", "e_rhf", "e_fci", "e_embed", "log10_error", "status"]
+
+    def cell(val) -> str:
+        return "n/a" if val is None else f"{val:.10f}" if isinstance(val, float) else str(val)
+
     with open(path, "w") as fh:
         fh.write("# " + "  ".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for col in cols:
-                val = row.get(col)
-                if val is None:
-                    cells.append("n/a")
-                elif isinstance(val, float):
-                    cells.append(f"{val:.10f}")
-                else:
-                    cells.append(str(val))
-            fh.write("  ".join(cells) + "\n")
+        fh.writelines("  ".join(cell(row.get(col)) for col in cols) + "\n" for row in rows)
 
 
 def parse_distances(spec: str) -> list[float]:
@@ -348,121 +334,125 @@ def _parse_index_list(spec: str) -> tuple[int, ...]:
         raise InputError(f"could not parse index list {spec!r}") from None
 
 
-def _load_config_file(path: str) -> dict:
-    """key = value lines; '#' comments; keys match the CLI flag names."""
-    values: dict = {}
+def _config_flags(path: str) -> list[str]:
+    """A config file's `key = value` lines as `--key=value` flags; '#' starts a comment."""
+    flags = []
     try:
         with open(path) as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, eq, val = (part.strip() for part in line.partition("="))
+                if not eq:
                     raise InputError(f"malformed config line {raw.rstrip()!r}")
-                key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
+                if key == "config":
+                    raise InputError("a config file cannot name another config file")
+                flags.append(f"--{key}={val}")
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return flags
 
 
-_CONFIG_CASTS = {
-    "geometry": str, "active": str, "localizer": str, "threshold": float,
-    "projector": str, "mu": float, "solver": str, "charge": int, "out": str,
-    "atoms": str, "distances": str, "jobs": int, "verbose": int,
-}
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError for a bad option, so it ends like any other configuration error."""
 
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file values first, explicit flags override."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_CASTS:
-                raise InputError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _CONFIG_CASTS[key](raw)
-            except ValueError:
-                raise InputError(f"bad value for config key {key!r}: {raw!r}") from None
-    for key in _CONFIG_CASTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _build_run_config(merged: dict) -> RunConfig:
-    if "geometry" not in merged:
-        raise InputError("no geometry given (flag --geometry or config file)")
-    if "active" not in merged:
-        raise InputError("no active atoms given (flag --active or config file)")
-    given = {f.name: merged[f.name] for f in fields(RunConfig) if f.name in merged}
-    return RunConfig(active_atoms=_parse_index_list(merged["active"]), **given)
+    def error(self, message):
+        raise InputError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qembed",
         description="Projection-based embedding into qubit Hamiltonians",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
+        p.add_argument("--config", help="file of key = value lines, keys as these flags; flags win")
         p.add_argument("--geometry", help="XYZ geometry file (Angstrom)")
-        p.add_argument("--active", help="comma-separated active atom indices (0-based)")
-        p.add_argument("--localizer", choices=["spade", "population"])
+        p.add_argument("--active", dest="active_atoms", type=_parse_index_list, metavar="ACTIVE",
+                       help="comma-separated active atom indices (0-based)")
+        p.add_argument("--localizer", choices=_CHOICES["localizer"])
         p.add_argument("--threshold", type=float,
                        help="population threshold for the population localizer")
-        p.add_argument("--projector", choices=["huzinaga", "mu"])
+        p.add_argument("--projector", choices=_CHOICES["projector"])
         p.add_argument("--mu", type=float, help="level-shift strength")
-        p.add_argument("--solver", choices=["exact", "none"])
+        p.add_argument("--solver", choices=_CHOICES["solver"])
         p.add_argument("--charge", type=int)
         p.add_argument("--out", help="output path")
-        p.add_argument("--verbose", type=int, default=None)
+        p.add_argument("--verbose", type=int, default=0, help="2 logs each SCF iteration")
 
-    p_embed = sub.add_parser("embed", help="single-point embedded calculation")
-    add_common(p_embed)
+    # no prefixes: a config key must be a whole flag name
+    add_common(sub.add_parser("embed", help="single-point embedded calculation", allow_abbrev=False))
 
-    p_scan = sub.add_parser("scan", help="bond-distance scan")
+    p_scan = sub.add_parser("scan", help="bond-distance scan", allow_abbrev=False)
     add_common(p_scan)
-    p_scan.add_argument("--atoms", help="atom pair i,j; j is displaced along the bond")
-    p_scan.add_argument("--distances", help="list 'a,b,c' or range 'start:stop:step' (Angstrom)")
-    p_scan.add_argument("--jobs", type=int, default=None, help="concurrent scan points")
+    p_scan.add_argument("--atoms", type=_parse_index_list,
+                        help="atom pair i,j; j is displaced along the bond")
+    p_scan.add_argument("--distances", type=parse_distances,
+                        help="list 'a,b,c' or range 'start:stop:step' (Angstrom)")
+    p_scan.add_argument("--jobs", type=int, default=1, help="concurrent scan points")
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's flags go right after the subcommand, so explicit flags win."""
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    return args
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig of the parsed flags; a flag left unset keeps the dataclass default."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name) is not None}
+    if "geometry" not in given or "active_atoms" not in given:
+        raise InputError("a run needs --geometry and --active (flags or config file)")
+    return RunConfig(**given)
+
+
+_LOG_HANDLER = logging.StreamHandler()
+
+
+def _configure_logging(level: int) -> None:
+    """Set the qembed logger's level and give it one handler, on the current stderr."""
+    logger = logging.getLogger("qembed")
+    logger.setLevel(level)
+    _LOG_HANDLER.stream = sys.stderr   # a caller may have redirected it since the last call
+    if _LOG_HANDLER not in logger.handlers:
+        logger.addHandler(_LOG_HANDLER)
+
+
+# exit code and label of each failure; a StageError is labelled with its stage instead
+_EXITS = {
+    ConvergenceError: (EXIT_CONVERGENCE, "convergence"),
+    ProjectionError: (EXIT_PROJECTION, "projection"),
+    QembedError: (EXIT_CONFIG, "config"),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        merged = _merge_config(args)
-        config = _build_run_config(merged)
+        args = _parse_args(argv)
+        _configure_logging(logging.DEBUG if args.verbose >= 2 else logging.WARNING)
+        config = _run_config(args)
         if args.command == "embed":
             return cmd_embed(config)
-        if "atoms" not in merged or "distances" not in merged:
+        if args.atoms is None or args.distances is None:
             raise InputError("scan needs --atoms and --distances")
-        pair = _parse_index_list(merged["atoms"])
-        if len(pair) != 2:
-            raise InputError(f"scan atom pair must have two indices, got {pair}")
-        return cmd_scan(config, (pair[0], pair[1]),
-                        parse_distances(merged["distances"]),
-                        jobs=merged.get("jobs", 1))
-    except StageError as exc:
-        print(f"error {exc}", file=sys.stderr)
-        if isinstance(exc.original, ConvergenceError):
-            return EXIT_CONVERGENCE
-        if isinstance(exc.original, ProjectionError):
-            return EXIT_PROJECTION
-        return EXIT_CONFIG
-    except (InputError, PartitionError) as exc:
-        print(f"error [config] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"error [convergence] {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ProjectionError as exc:
-        print(f"error [projection] {exc}", file=sys.stderr)
-        return EXIT_PROJECTION
+        if len(args.atoms) != 2:
+            raise InputError(f"scan atom pair must have two indices, got {args.atoms}")
+        return cmd_scan(config, args.atoms, args.distances, jobs=args.jobs)
+    except (StageError, QembedError) as exc:
+        cause = getattr(exc, "original", exc)
+        code, label = next(value for kind, value in _EXITS.items() if isinstance(cause, kind))
+        print(f"error [{getattr(exc, 'stage', label)}] {cause}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -99,7 +99,6 @@ def run_embedded_scf(
     mol: Molecule,
     projector_kind: str = "huzinaga",
     mu: float = DEFAULT_MU,
-    verbose: int = 0,
 ) -> tuple[EmbeddedProblem, SCFResult]:
     """Solve the projected active subsystem and assemble its energy constants.
 
@@ -119,28 +118,16 @@ def run_embedded_scf(
                   + 0.5 * np.einsum("pq,pq->", gamma_env, g_env_mat))
     g_cross = float(np.einsum("pq,pq->", gamma_act, g_env_mat))
 
+    h_bare = h_core + v_emb
     if projector_kind == "mu":
         projector = mu_projector(gamma_env, s, mu)
-        scf_emb = run_rhf(
-            mol, integrals,
-            h_override=h_core + v_emb + projector,
-            n_electrons_override=n_act,
-            gamma0=gamma_act,
-            e_nuc=e_nuc,
-            verbose=verbose,
-        )
+        h_scf, f_extra = h_bare + projector, None
     else:
-        scf_emb = run_rhf(
-            mol, integrals,
-            h_override=h_core + v_emb,
-            n_electrons_override=n_act,
-            f_extra=lambda gamma, fock: huzinaga_projector(fock, gamma_env, s),
-            gamma0=gamma_act,
-            e_nuc=e_nuc,
-            verbose=verbose,
-        )
-        fock_bare = fock_build(scf_emb.gamma, h_core + v_emb, eri)
-        projector = huzinaga_projector(fock_bare, gamma_env, s)
+        h_scf, f_extra = h_bare, lambda gamma, fock: huzinaga_projector(fock, gamma_env, s)
+    scf_emb = run_rhf(mol, integrals, h_override=h_scf, n_electrons_override=n_act,
+                      f_extra=f_extra, gamma0=gamma_act)
+    if projector_kind == "huzinaga":
+        projector = huzinaga_projector(fock_build(scf_emb.gamma, h_bare, eri), gamma_env, s)
 
     leaks = environment_populations(scf_emb.C_occ, gamma_env, s)
     if leaks.size and float(leaks.max()) > ENV_LEAK_FATAL:
@@ -149,7 +136,7 @@ def run_embedded_scf(
         )
 
     problem = EmbeddedProblem(
-        h_emb=h_core + v_emb + projector,
+        h_emb=h_bare + projector,
         projector=projector,
         v_emb=v_emb,
         gamma_act=gamma_act,
@@ -185,17 +172,6 @@ def same_level_energy(problem: EmbeddedProblem, gamma_emb_act: np.ndarray,
             "pq,pq->", gamma_emb_act - problem.gamma_act,
             problem.v_emb + problem.projector))
     return e_act + problem.E_env + problem.g_cross + correction + problem.E_nuc
-
-
-def wf_in_lowlevel_constant(problem: EmbeddedProblem) -> float:
-    """Additive constant completing a wave-function active-space energy.
-
-    The correlated solver works with the embedded one-electron Hamiltonian,
-    so its expectation value already contains the active-density interaction
-    with (v_emb + projector); only the frozen-density counterpart is
-    subtracted here.
-    """
-    return problem.classical_energy
 
 
 def drop_environment_orbitals(

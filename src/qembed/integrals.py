@@ -303,19 +303,3 @@ def compute_integrals(basis: BasisSet, mol: Molecule) -> IntegralSet:
         V=nuclear_attraction_matrix(basis, mol),
         eri=eri_tensor(basis),
     )
-
-
-def dump_integrals(integrals: IntegralSet, path) -> None:
-    """Write S, h_core and the ERI tensor as index/value text for cross-checks."""
-    k = integrals.n_functions
-    rows, cols = np.tril_indices(k)              # AO pairs in canonical order
-    bra, ket = np.tril_indices(len(rows))        # quartets with bra pair >= ket pair
-    quartets = np.stack([rows[bra], cols[bra], rows[ket], cols[ket]])
-    values = integrals.eri[tuple(quartets)]
-    keep = np.abs(values) > 1e-14
-    with open(path, "w") as fh:
-        for name, mat in (("S", integrals.S), ("H", integrals.h_core)):
-            fh.writelines(f"{name} {i} {j} {mat[i, j]:.15e}\n" for i, j in zip(*np.triu_indices(k)))
-        fh.writelines(
-            f"ERI {i} {j} {l} {s} {v:.15e}\n" for (i, j, l, s), v in zip(quartets[:, keep].T, values[keep])
-        )

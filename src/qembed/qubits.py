@@ -157,11 +157,15 @@ class QubitHamiltonian:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitHamiltonian":
-        n = int(data["n_qubits"])
-        terms = [(t["pauli"], float(t["coeff"])) for t in data["terms"]]
-        if data.get("constant", 0.0) != 0.0:
-            terms.append(("I" * n, float(data["constant"])))
-        return cls.from_terms(n, terms)
+        """Read the to_json_dict() layout; a missing or mistyped field raises InputError."""
+        try:
+            n = int(data["n_qubits"])
+            terms = [(t["pauli"], float(t["coeff"])) for t in data["terms"]]
+            if data.get("constant", 0.0) != 0.0:
+                terms.append(("I" * n, float(data["constant"])))
+            return cls.from_terms(n, terms)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed Hamiltonian ({type(exc).__name__}: {exc})") from None
 
 
 def pauli_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ through those two hooks.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,6 +23,8 @@ CONV_GRADIENT = 1e-8
 CONV_ENERGY = 1e-10
 DIIS_SIZE = 8
 S_LINDEP_CUTOFF = 1e-7
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,7 @@ def run_rhf(
     n_electrons_override: Optional[int] = None,
     f_extra: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     gamma0: Optional[np.ndarray] = None,
-    e_nuc: Optional[float] = None,
     level_shift: float = 0.0,
-    max_iterations: int = MAX_ITERATIONS,
-    verbose: int = 0,
 ) -> SCFResult:
     """Converge the closed-shell SCF fixed point.
 
@@ -139,7 +139,7 @@ def run_rhf(
     projectors enter this way); f_extra(gamma, fock) is evaluated every cycle
     and added to the Fock matrix (for projectors that depend on the live Fock
     matrix). Convergence requires both the orbital gradient norm below 1e-8
-    and the energy change below 1e-10.
+    and the energy change below 1e-10. Each iteration is logged at DEBUG level.
     """
     n_electrons = mol.n_electrons if n_electrons_override is None else n_electrons_override
     if n_electrons % 2 != 0:
@@ -148,7 +148,7 @@ def run_rhf(
     h = integrals.h_core if h_override is None else h_override
     s = integrals.S
     eri = integrals.eri
-    e_nuc = nuclear_repulsion(mol) if e_nuc is None else e_nuc
+    e_nuc = nuclear_repulsion(mol)
     x = orthogonalizer(s)
 
     if gamma0 is None:
@@ -160,8 +160,7 @@ def run_rhf(
     diis = _Diis()
     energy = 0.0
     history: list[float] = []
-    c = eps = fock = None
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         fock = fock_build(gamma, h, eri)
         if f_extra is not None:
             fock = fock + f_extra(gamma, fock)
@@ -171,9 +170,8 @@ def run_rhf(
         de = e_elec - energy
         energy = e_elec
         history.append(e_elec + e_nuc)
-        if verbose >= 2:
-            print(f"  scf iter {iteration:3d}  E={e_elec + e_nuc:+.12f}  "
-                  f"dE={de:+.3e}  |grad|={grad_norm:.3e}")
+        _log.debug("  scf iter %3d  E=%+.12f  dE=%+.3e  |grad|=%.3e",
+                   iteration, e_elec + e_nuc, de, grad_norm)
         if iteration > 1 and grad_norm < CONV_GRADIENT and abs(de) < CONV_ENERGY:
             # rebuild the final quadruple from the converged orbitals so that
             # gamma = 2 C_occ C_occ^T holds exactly, not just to SCF tolerance
@@ -198,6 +196,6 @@ def run_rhf(
         gamma = density_matrix(c[:, :n_occ])
 
     raise ConvergenceError(
-        f"SCF did not converge in {max_iterations} iterations "
+        f"SCF did not converge in {MAX_ITERATIONS} iterations "
         f"(last |grad| = {grad_norm:.3e}, dE = {de:.3e})"
     )

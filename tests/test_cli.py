@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qembed.cli import (
     EXIT_PROJECTION,
     RunConfig,
     StageError,
-    _build_run_config,
     cmd_embed,
     cmd_scan,
     displace_along_bond,
@@ -41,6 +41,37 @@ def h2_file(tmp_path):
     path = tmp_path / "h2.xyz"
     path.write_text(H2_XYZ)
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def restore_qembed_logger():
+    # main sets the qembed logger from --verbose; keep a DEBUG level from leaking
+    # into other tests, which would log to a capture stream that has been closed
+    logger = logging.getLogger("qembed")
+    level, handlers = logger.level, list(logger.handlers)
+    yield
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+
+
+@pytest.fixture
+def commands(monkeypatch):
+    """Replace cmd_embed and cmd_scan by recorders of what main passes them."""
+    import qembed.cli as cli
+
+    calls = []
+
+    def embed(config):
+        calls.append({"config": config, "log_level": logging.getLogger("qembed").level})
+        return 0
+
+    def scan(config, atoms, distances, jobs=1):
+        calls.append({"config": config, "atoms": atoms, "distances": distances, "jobs": jobs})
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_embed", embed)
+    monkeypatch.setattr(cli, "cmd_scan", scan)
+    return calls
 
 
 def test_parse_distances_range():
@@ -353,8 +384,9 @@ def test_scan_worker_environment_is_single_threaded_and_restored(monkeypatch):
     assert "OMP_NUM_THREADS" not in os.environ
 
 
-def test_build_run_config_takes_the_dataclass_defaults(water_file):
-    assert _build_run_config({"geometry": water_file, "active": "0"}) == RunConfig(water_file, (0,))
+def test_run_config_takes_the_dataclass_defaults(water_file, commands):
+    assert main(["embed", "--geometry", water_file, "--active", "0"]) == 0
+    assert [call["config"] for call in commands] == [RunConfig(water_file, (0,))]
 
 
 def test_scan_point_builds_one_qubit_map(tmp_path, h2_file, monkeypatch):
@@ -398,3 +430,90 @@ def test_embed_refuses_the_full_map_before_solving(tmp_path, water_file, monkeyp
                  "--out", str(tmp_path / "r.json")])
     assert code == EXIT_CONFIG
     assert "[qubit_map]" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command, key, in_file, on_flag, read, file_value, flag_value", [
+    ("embed", "threshold", "0.5", "0.75", lambda call: call["config"].threshold, 0.5, 0.75),
+    ("embed", "mu", "10", "20", lambda call: call["config"].mu, 10.0, 20.0),
+    ("embed", "charge", "2", "-2", lambda call: call["config"].charge, 2, -2),
+    ("scan", "jobs", "3", "2", lambda call: call["jobs"], 3, 2),
+    ("scan", "atoms", "0,1", "1,0", lambda call: call["atoms"], (0, 1), (1, 0)),
+    ("scan", "distances", "1.0,2.0", "0.5:1.0:0.25", lambda call: call["distances"],
+     [1.0, 2.0], [0.5, 0.75, 1.0]),
+    ("embed", "verbose", "2", "0", lambda call: call["log_level"], logging.DEBUG, logging.WARNING),
+])
+def test_config_value_is_typed_and_its_flag_wins(tmp_path, water_file, commands, command, key,
+                                                 in_file, on_flag, read, file_value, flag_value):
+    # a later line wins over an earlier one, as a later flag does
+    scan_keys = "atoms = 0,2\ndistances = 1.0,1.1\n" if command == "scan" else ""
+    cfg = _write_config(tmp_path, f"geometry = {water_file}\nactive = 0\n{scan_keys}"
+                                  f"{key} = {in_file}\n")
+    assert main([command, "--config", cfg]) == 0
+    assert main([command, "--config", cfg, f"--{key}", on_flag]) == 0
+    values = [read(call) for call in commands]
+    assert values == [file_value, flag_value]
+    assert [type(v) for v in values] == [type(file_value), type(flag_value)]
+
+
+def test_config_charge_reaches_the_molecule(tmp_path, water_file, capsys):
+    cfg = _write_config(tmp_path, f"geometry = {water_file}\nactive = 0,1\ncharge = -1\n")
+    assert main(["embed", "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+    assert "odd electron count 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("threshold", "high"), ("charge", "1.5"), ("active", "0,x"), ("localizer", "boys"),
+    ("solver", "fci"),
+])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_bad_value_is_a_config_error(tmp_path, water_file, commands, capsys, key, value, source):
+    lines = f"geometry = {water_file}\nactive = 0\n"
+    if source == "file":
+        argv = ["embed", "--config", _write_config(tmp_path, lines + f"{key} = {value}\n")]
+    else:
+        argv = ["embed", "--config", _write_config(tmp_path, lines), f"--{key}", value]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error [config] ")
+    assert commands == []
+
+
+@pytest.mark.parametrize("line", ["atoms = 0,1", "jobs = 2", "config = other.cfg", "geo = x.xyz"])
+def test_embed_config_refuses_keys_that_are_not_embed_flags(tmp_path, water_file, commands,
+                                                            capsys, line):
+    # a key is a whole flag name of the chosen subcommand, and never config
+    cfg = _write_config(tmp_path, f"geometry = {water_file}\nactive = 0\n{line}\n")
+    assert main(["embed", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error [config] ")
+    assert commands == []
+
+
+def test_verbose_logs_each_scf_iteration_to_stderr(tmp_path, water_file, capsys):
+    out = tmp_path / "r.json"
+    argv = ["embed", "--geometry", water_file, "--active", "0,1", "--solver", "none",
+            "--out", str(out)]
+    for _ in range(2):   # a second call in the same process logs each line once
+        assert main(argv + ["--verbose", "2"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(out.read_text())
+        iterations = report["scf"]["n_iterations"] + report["embedding"]["embedded_scf_iterations"]
+        assert captured.err.count("scf iter") == iterations
+        assert "scf iter" not in captured.out
+    assert main(argv) == 0
+    assert "scf iter" not in capsys.readouterr().err
+
+
+def test_verbose_reaches_scan_workers(tmp_path, h2_file, capfd):
+    code = main(["scan", "--geometry", h2_file, "--active", "0", "--atoms", "0,1",
+                 "--distances", "0.6,0.9,1.2", "--jobs", "2", "--verbose", "2",
+                 "--out", str(tmp_path / "scan.txt")])
+    assert code == 0
+    captured = capfd.readouterr()
+    # every point runs two SCFs, the full one and the embedded one
+    assert captured.err.count("scf iter   1 ") == 6
+    assert "scf iter" not in captured.out

@@ -9,7 +9,6 @@ from qembed.embedding import (
     mu_projector,
     run_embedded_scf,
     same_level_energy,
-    wf_in_lowlevel_constant,
 )
 from qembed.localize import spade_partition
 from qembed.molecule import nuclear_repulsion
@@ -234,7 +233,7 @@ def test_first_order_correction_vanishes_at_reference(water, water_partition):
 def test_classical_constant_trivial_environment(h2):
     part = spade_partition(h2.scf, h2.ints.S, h2.basis, [1])
     problem, _ = run_embedded_scf(part, h2.ints, h2.mol)
-    assert wf_in_lowlevel_constant(problem) == pytest.approx(
+    assert problem.classical_energy == pytest.approx(
         nuclear_repulsion(h2.mol), abs=1e-12
     )
 

@@ -19,7 +19,6 @@ from qembed.basis import build_basis
 from qembed.integrals import (
     boys,
     compute_integrals,
-    dump_integrals,
     eri_tensor,
     kinetic_matrix,
     nuclear_attraction_matrix,
@@ -375,16 +374,6 @@ def test_nuclear_attraction_ss_oracle(h2):
             funcs, [0, 1], [funcs[0].center, funcs[1].center],
         )
     assert h2.ints.V[0, 1] == pytest.approx(expected, abs=1e-12)
-
-
-def test_integral_dump_roundtrip(tmp_path, h2):
-    path = tmp_path / "ints.txt"
-    dump_integrals(h2.ints, path)
-    lines = path.read_text().splitlines()
-    s_lines = [ln for ln in lines if ln.startswith("S ")]
-    name, i, j, val = s_lines[1].split()
-    assert float(val) == pytest.approx(h2.ints.S[int(i), int(j)], abs=1e-15)
-    assert any(ln.startswith("ERI 1 1 1 0") or ln.startswith("ERI 1 0") for ln in lines)
 
 
 def test_eri_follows_atom_reordering():

@@ -376,6 +376,19 @@ def test_from_json_rejects_malformed_words(word):
 
 
 @pytest.mark.parametrize("data", [
+    {"n_qubits": 1, "terms": [{"pauli": "Z", "coeff": "one"}]},
+    {"n_qubits": 1, "terms": [{"pauli": 3, "coeff": 1.0}]},
+    {"n_qubits": 1, "terms": [{"coeff": 1.0}]},
+    {"terms": [{"pauli": "Z", "coeff": 1.0}]},
+    {"n_qubits": 1, "terms": {"pauli": "Z", "coeff": 1.0}},
+])
+def test_from_json_rejects_malformed_fields(data):
+    # a file from outside used to escape as a bare ValueError, TypeError or KeyError
+    with pytest.raises(InputError, match="malformed Hamiltonian"):
+        QubitHamiltonian.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [
     {"n_qubits": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "Z", "coeff": 2.0}]},
     {"n_qubits": 2, "constant": 0.5, "terms": [{"pauli": "II", "coeff": 1.0}]},
 ])

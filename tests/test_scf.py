@@ -223,9 +223,12 @@ def test_variational_bound_vs_fci(h2, he, water):
         assert system.scf.E_total >= e_fci - 1e-10
 
 
-def test_nonconvergence_reported(water):
+def test_nonconvergence_reported(water, monkeypatch):
+    import qembed.scf
+
+    monkeypatch.setattr(qembed.scf, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        run_rhf(water.mol, water.ints, max_iterations=2)
+        run_rhf(water.mol, water.ints)
 
 
 def test_level_shift_reaches_same_fixed_point(water):
