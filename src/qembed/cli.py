@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
 import os
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -280,10 +279,14 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     config.validate()
     if len(distances) < 2:
         raise InputError("a scan needs at least two distances")
-    base_mol = load_xyz(config.geometry, charge=config.charge)
+    base_mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
     grid = sorted(set(round(r, 12) for r in distances))
     tasks = [(config, base_mol, atoms, r) for r in grid]
     if jobs > 1:
+        # imported here, as a serial scan never uses them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned workers import numpy afresh, so they load BLAS single-threaded
         # and start with this process's logging, so --verbose reaches them
         spawn = multiprocessing.get_context("spawn")
@@ -334,13 +337,27 @@ def _parse_index_list(spec: str) -> tuple[int, ...]:
         raise InputError(f"could not parse index list {spec!r}") from None
 
 
+def _flag_type(parse):
+    """`parse` as an argparse type: its InputError becomes an error that names the flag."""
+    def convert(spec: str):
+        try:
+            return parse(spec)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+# a comment is a '#' at the start of a line or after whitespace, so a value may hold one
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _config_flags(path: str) -> list[str]:
-    """A config file's `key = value` lines as `--key=value` flags; '#' starts a comment."""
+    """A config file's `key = value` lines as `--key=value` flags, without comments."""
     flags = []
     try:
         with open(path) as fh:
             for raw in fh:
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.split(raw, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 key, eq, val = (part.strip() for part in line.partition("="))
@@ -349,7 +366,7 @@ def _config_flags(path: str) -> list[str]:
                 if key == "config":
                     raise InputError("a config file cannot name another config file")
                 flags.append(f"--{key}={val}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     return flags
 
@@ -371,8 +388,8 @@ def make_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="file of key = value lines, keys as these flags; flags win")
         p.add_argument("--geometry", help="XYZ geometry file (Angstrom)")
-        p.add_argument("--active", dest="active_atoms", type=_parse_index_list, metavar="ACTIVE",
-                       help="comma-separated active atom indices (0-based)")
+        p.add_argument("--active", dest="active_atoms", type=_flag_type(_parse_index_list),
+                       metavar="ACTIVE", help="comma-separated active atom indices (0-based)")
         p.add_argument("--localizer", choices=_CHOICES["localizer"])
         p.add_argument("--threshold", type=float,
                        help="population threshold for the population localizer")
@@ -388,9 +405,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="bond-distance scan", allow_abbrev=False)
     add_common(p_scan)
-    p_scan.add_argument("--atoms", type=_parse_index_list,
+    p_scan.add_argument("--atoms", type=_flag_type(_parse_index_list),
                         help="atom pair i,j; j is displaced along the bond")
-    p_scan.add_argument("--distances", type=parse_distances,
+    p_scan.add_argument("--distances", type=_flag_type(parse_distances),
                         help="list 'a,b,c' or range 'start:stop:step' (Angstrom)")
     p_scan.add_argument("--jobs", type=int, default=1, help="concurrent scan points")
     return parser

@@ -108,8 +108,12 @@ def parse_xyz(text: str, charge: int = 0) -> Molecule:
 
 
 def load_xyz(path, charge: int = 0) -> Molecule:
-    with open(path) as fh:
-        return parse_xyz(fh.read(), charge=charge)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read geometry file {path}: {exc}") from exc
+    return parse_xyz(text, charge=charge)
 
 
 def nuclear_repulsion(mol: Molecule) -> float:

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .exceptions import ConvergenceError, InputError
 from .integrals import IntegralSet
@@ -141,8 +139,10 @@ def _sector_blocks(h: QubitHamiltonian, states: np.ndarray, rank: np.ndarray, wi
                 yield pos[inside], rank[cells[inside, None] ^ x[first]], imag[first], values
 
 
-def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Project the Pauli sum onto the (ascending) sector basis.
+def _assemble_sector_matrix(
+    h: QubitHamiltonian, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project the Pauli sum onto the (ascending) sector basis, as CSR (data, indices, indptr).
 
     Row s holds, for each x-mask group that flips s into the sector, the
     value of the group at s in column rank(s ^ x): a Hermitian operator with
@@ -154,7 +154,9 @@ def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sp
     pass writes each row's entries in place, in the caller's state order,
     in the same group order whatever the block size. Each Pauli word
     carries a phase of exactly +-1 or +-i; the imaginary groups must cancel
-    on every cell that flips into the sector, and are checked.
+    on every cell that flips into the sector, and are checked. Only real
+    groups are stored and their x masks are distinct, so the columns of a
+    row are distinct too.
     """
     dim = len(states)
     rank = np.full(1 << h.n_qubits, -1, dtype=np.int32)
@@ -195,18 +197,30 @@ def _assemble_sector_matrix(h: QubitHamiltonian, states: np.ndarray) -> scipy.sp
         indices[at] = partners.ravel()[cell]
         data[at] = vals.ravel()[cell]
         fill[pos] += counts
-    return scipy.sparse.csr_matrix(
-        (data, indices, indptr.astype(index_type)), shape=(dim, dim)
-    )
+    return data, indices, indptr.astype(index_type)
 
 
-def _lowest_eigenvalue(mat: scipy.sparse.csr_matrix) -> float:
-    """Lowest eigenvalue by LOBPCG with block size 1 and a Jacobi preconditioner.
+def _dense_matrix(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The CSR arrays as a dense array; a row's columns are distinct, so one assignment fills it."""
+    dim = len(indptr) - 1
+    mat = np.zeros((dim, dim))
+    mat[np.repeat(np.arange(dim), np.diff(indptr)), indices] = data
+    return mat
 
-    The start is a seeded random unit vector, which overlaps every symmetry
+
+def _lowest_eigenvalue(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> float:
+    """Lowest eigenvalue of the CSR matrix by LOBPCG with block size 1 and a Jacobi preconditioner.
+
+    scipy is imported here, so only this route pays for loading it. The
+    start is a seeded random unit vector, which overlaps every symmetry
     block, plus the unit vector of the lowest diagonal entry. The residual
     |Hv - Ev| must reach EIG_TOL * max(1, |E|), the bound ARPACK applies.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    dim = len(indptr) - 1
+    mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
     diag = mat.diagonal()
     start = np.random.default_rng(EIG_SEED).standard_normal(len(diag))
     start /= np.linalg.norm(start)
@@ -251,12 +265,12 @@ def ground_state(
     sector = "full space" if n_electrons is None else f"(n={n_electrons}, s_z={s_z})"
     if not states.size:
         raise InputError(f"empty sector {sector} for {n} qubits")
-    mat = _assemble_sector_matrix(h, states)
+    csr = _assemble_sector_matrix(h, states)
     dim = len(states)
     if method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF) or dim < 5:
-        energy = float(np.linalg.eigvalsh(mat.toarray())[0])
+        energy = float(np.linalg.eigvalsh(_dense_matrix(*csr))[0])
     else:
-        energy = _lowest_eigenvalue(mat)
+        energy = _lowest_eigenvalue(*csr)
     return GroundState(energy=energy, n_qubits=n, sector=sector)
 
 

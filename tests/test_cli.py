@@ -1,9 +1,14 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qembed
 from qembed.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -12,6 +17,7 @@ from qembed.cli import (
     StageError,
     cmd_embed,
     cmd_scan,
+    _parse_index_list,
     displace_along_bond,
     main,
     parse_distances,
@@ -27,6 +33,15 @@ H  0.0000000 -0.7572000 -0.4692000
 """
 
 H2_XYZ = "2\nhydrogen\nH 0 0 0\nH 0 0 0.7414\n"
+
+CH4_XYZ = """5
+methane
+C 0 0 0
+H 0.6276 0.6276 0.6276
+H 0.6276 -0.6276 -0.6276
+H -0.6276 0.6276 -0.6276
+H -0.6276 -0.6276 0.6276
+"""
 
 
 @pytest.fixture
@@ -290,6 +305,39 @@ def test_missing_geometry_rejected(tmp_path):
     assert main(["embed", "--active", "0", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not text"], ids=["absent", "not_utf8"])
+@pytest.mark.parametrize("command", ["embed", "scan"])
+def test_unreadable_geometry_file_is_a_geometry_error(tmp_path, command, content, capsys):
+    geometry = tmp_path / "mol.xyz"
+    if content is not None:
+        geometry.write_bytes(content)
+    argv = [command, "--geometry", str(geometry), "--active", "0", "--out", str(tmp_path / "out")]
+    if command == "scan":
+        argv += ["--atoms", "0,1", "--distances", "1.0,2.0"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [geometry] cannot read geometry file {geometry}: ")
+
+
+def test_config_file_that_is_not_text_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe not text")
+    assert main(["embed", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error [config] cannot read config file {cfg}: ")
+
+
+@pytest.mark.parametrize("flag", ["--active", "--atoms"])
+def test_bad_index_list_names_its_flag(water_file, commands, capsys, flag):
+    argv = ["scan", "--geometry", water_file, "--active", "0", "--atoms", "0,1",
+            "--distances", "1.0,2.0", flag, "0,x"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"error [config] argument {flag}: could not parse index list '0,x'")
+    assert commands == []
+    with pytest.raises(InputError, match="could not parse index list"):
+        _parse_index_list("0,x")
+
+
 def test_scan_h2_table(tmp_path, h2_file):
     out = tmp_path / "scan.txt"
     config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(out))
@@ -461,6 +509,17 @@ def test_config_value_is_typed_and_its_flag_wins(tmp_path, water_file, commands,
     assert [type(v) for v in values] == [type(file_value), type(flag_value)]
 
 
+def test_config_value_may_hold_a_hash(tmp_path, water_file, commands):
+    # '#' starts a comment only at the start of a line or after whitespace
+    geometry = tmp_path / "a#b.xyz"
+    geometry.write_text(WATER_XYZ)
+    cfg = _write_config(tmp_path, f"# run file\ngeometry = {geometry}   # water\n"
+                                  "  # indented comment\nactive = 0,1\t# O and H\n")
+    assert main(["embed", "--config", cfg]) == 0
+    assert commands[0]["config"].geometry == str(geometry)
+    assert commands[0]["config"].active_atoms == (0, 1)
+
+
 def test_config_charge_reaches_the_molecule(tmp_path, water_file, capsys):
     cfg = _write_config(tmp_path, f"geometry = {water_file}\nactive = 0,1\ncharge = -1\n")
     assert main(["embed", "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
@@ -517,3 +576,37 @@ def test_verbose_reaches_scan_workers(tmp_path, h2_file, capfd):
     # every point runs two SCFs, the full one and the embedded one
     assert captured.err.count("scf iter   1 ") == 6
     assert "scf iter" not in captured.out
+
+
+def _scipy_loaded_after(code: str, cwd) -> bool:
+    """Whether scipy is in sys.modules after `code` runs in a fresh interpreter."""
+    src = str(Path(qembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    script = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_import_leaves_scipy_out(tmp_path):
+    assert not _scipy_loaded_after("import qembed.cli", tmp_path)
+
+
+@pytest.mark.parametrize("xyz, argv, lobpcg", [
+    # the README scan: dense sector solves (dimension 225) and the FCI oracle at every point
+    (WATER_XYZ, ["scan", "--active", "0,2", "--atoms", "0,2", "--distances", "0.8:3.0:0.2"],
+     False),
+    (WATER_XYZ, ["embed", "--active", "0,1", "--solver", "none"], False),
+    # 16 qubits, sector dimension 4,900: the LOBPCG route
+    (CH4_XYZ, ["embed", "--active", "0,1,2,3", "--localizer", "population"], True),
+], ids=["readme_scan", "embed_solver_none", "ch4_lobpcg"])
+def test_only_the_lobpcg_route_loads_scipy(tmp_path, xyz, argv, lobpcg):
+    (tmp_path / "mol.xyz").write_text(xyz)
+    argv = argv + ["--geometry", "mol.xyz", "--out", "out.txt"]
+    code = f"from qembed.cli import main\nassert main({argv!r}) == 0"
+    assert _scipy_loaded_after(code, tmp_path) == lobpcg
+    if argv[0] == "scan":
+        rows = (tmp_path / "out.txt").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        assert all(row.endswith(" ok") and " n/a " not in row for row in rows)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,12 @@ from qembed.qubits import (
     second_quantize,
 )
 from qembed.solver import _assemble_sector_matrix, _sector_basis, fci_oracle, ground_state
+
+
+def sector_csr(ham, states):
+    """The sector matrix as a scipy CSR matrix, built from the arrays the solver returns."""
+    return scipy.sparse.csr_matrix(_assemble_sector_matrix(ham, states),
+                                   shape=(len(states), len(states)))
 
 
 def full_jw(system, constant=None):
@@ -219,7 +226,7 @@ def test_sector_basis_memory():
 def test_hamiltonian_without_terms():
     ham = QubitHamiltonian.from_terms(4, [])
     states = _sector_basis(4, 2, None)
-    assert _assemble_sector_matrix(ham, states).nnz == 0
+    assert sector_csr(ham, states).nnz == 0
     assert ground_state(ham, n_electrons=2, s_z=None, method="sparse").energy == 0.0
 
 
@@ -262,7 +269,7 @@ def test_fci_orbital_limit(water):
 def test_ground_state_energy_below_diagonal(h2):
     ham = full_jw(h2)
     states = _sector_basis(4, 2, 0.0)
-    mat = _assemble_sector_matrix(ham, states).toarray()
+    mat = sector_csr(ham, states).toarray()
     gs = ground_state(ham, n_electrons=2, s_z=0)
     assert gs.energy <= np.diag(mat).min() + 1e-12
 
@@ -299,8 +306,11 @@ def test_sector_matrix_is_dense_matrix_restricted(case):
         with pytest.raises(InputError, match="not real"):
             _assemble_sector_matrix(ham, states)
     else:
-        mat = _assemble_sector_matrix(ham, states).toarray()
+        arrays = _assemble_sector_matrix(ham, states)
+        mat = scipy.sparse.csr_matrix(arrays, shape=block.shape).toarray()
         assert np.abs(mat - block.real).max() <= 1e-12
+        # the dense route fills its array from the same arrays with one assignment
+        assert np.array_equal(qembed.solver._dense_matrix(*arrays), mat)
 
 
 @pytest.mark.parametrize("name, active, localizer, block", [
@@ -315,8 +325,8 @@ def test_sector_matrix_block_seams(name, active, localizer, block, request, monk
     whole = _assemble_sector_matrix(ham, states)
     monkeypatch.setattr(qembed.solver, "CELL_BLOCK", block)
     seamed = _assemble_sector_matrix(ham, states)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(whole, part), getattr(seamed, part))
+    for part, seamed_part in zip(whole, seamed, strict=True):   # data, indices, indptr
+        assert np.array_equal(part, seamed_part)
 
 
 def test_embedded_water_sector_is_dense_matrix_restricted(water):
@@ -325,7 +335,7 @@ def test_embedded_water_sector_is_dense_matrix_restricted(water):
     states = _sector_basis(12, n_e, 0)
     block = dense_matrix(ham)[np.ix_(states, states)]
     assert np.abs(block.imag).max() <= 1e-12
-    assert np.abs(_assemble_sector_matrix(ham, states).toarray() - block.real).max() <= 1e-12
+    assert np.abs(sector_csr(ham, states).toarray() - block.real).max() <= 1e-12
 
 
 def test_odd_y_word_not_real_in_sector():
