@@ -10,14 +10,13 @@ sign factors into an alpha-string and a beta-string sign, as in the
 string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984): the
 values of a group over the alpha × beta grid are one small matrix product
 of two sign tables, and its partners are looked up in a rank table over all
-bitstrings. The determinant route builds the dense configuration-interaction
-matrix from Slater-Condon rules as array expressions: determinants are int64
-occupation masks, the diagonal comes from the occupation matrix, and blocks
-of determinant pairs that differ by one or two spin orbitals read their
-indices from the differing bits and their fermionic signs from popcounts
-(bit-string determinant CI as in Olsen et al., J. Chem. Phys. 89, 2185
-(1988)). It enumerates its own determinants and never touches the Pauli
-machinery, so the two paths check each other.
+bitstrings. The determinant route does its own MO transform and writes H
+through the alpha and beta replacement matrices E_kl = <I|a+_k a_l|J> of the
+same string-driven CI, one alpha string at a time. At S_z = 0 it splits H
+into the blocks even and odd under swapping the alpha and beta strings, and
+diagonalizes the odd block only when a Cholesky test cannot show that it lies
+above the even block's lowest eigenvalue. It enumerates its own strings and
+never touches the Pauli machinery, so the two paths check each other.
 """
 
 from __future__ import annotations
@@ -277,104 +276,102 @@ def ground_state(
 # --- determinant-space FCI oracle -----------------------------------------
 
 MAX_FCI_ORBITALS = 8
-FCI_PAIR_BLOCK = 1 << 15  # determinant pairs per Slater-Condon block
 
 
-def _spin_strings(k: int, n: int, spin: int) -> np.ndarray:
-    """Occupation masks of every n-electron string over k spatial orbitals.
+def _replacement_matrices(k: int, n: int) -> np.ndarray:
+    """E[kl, I, J] = <I|a+_k a_l|J> over the ascending n-electron strings of k orbitals."""
+    strings = np.flatnonzero(np.bitwise_count(np.arange(1 << k)) == n)
+    rank = np.zeros(1 << k, dtype=np.int64)
+    rank[strings] = np.arange(len(strings))
+    bits = 1 << np.arange(k)
+    emptied = strings ^ bits[:, None]  # [l, J]: string J with orbital l flipped
+    # a+_k a_l |J> is nonzero when l is in J and k is not in J without l
+    p, q, j = np.nonzero((strings & bits[:, None] != 0) & (emptied & bits[:, None, None] == 0))
+    passed = (np.bitwise_count(strings[j] & (bits[q] - 1))
+              + np.bitwise_count(emptied[q, j] & (bits[p] - 1)))
+    e = np.zeros((k, k, len(strings), len(strings)))
+    e[p, q, rank[emptied[q, j] | bits[p]], j] = 1.0 - 2.0 * (passed & 1)
+    return e.reshape(k * k, len(strings), len(strings))
 
-    Spatial orbital p sits on spin-orbital bit 2p + spin (even bit = alpha).
+
+def _ci_blocks(h: np.ndarray, g: np.ndarray, n_alpha: int, n_beta: int):
+    """The CI matrix over MO integrals h and g = (kl|mn), as two blocks (H+, H-) of its spectrum.
+
+    With the alpha and beta replacement matrices E_kl, H = A x 1 + 1 x B +
+    sum (kl|mn) E^a_kl x E^b_mn, where A = sum h'_kl E^a_kl + 1/2 sum (kl|mn)
+    E^a_kl E^a_mn and h'_kl = h_kl - 1/2 sum_m (km|ml) (Knowles & Handy, Chem.
+    Phys. Lett. 111, 315 (1984)). H is built one alpha string i at a time, so
+    the whole (I, J, I', J') tensor is never held. With n_alpha = n_beta,
+    swapping the strings of |IJ> commutes with H, and the rows go straight into
+    the symmetric basis {(|IJ> + |JI>)/sqrt 2, |II>} (H+) and the antisymmetric
+    one {(|IJ> - |JI>)/sqrt 2} (H-); otherwise H+ is all of H and H- is empty.
     """
-    strings = np.arange(1 << k, dtype=np.int64)
-    strings = strings[np.bitwise_count(strings) == n]
-    return sum(((strings >> p) & 1) << (2 * p + spin) for p in range(k))
+    k = len(h)
+    h_eff = (h - 0.5 * np.einsum("kmml->kl", g)).ravel()
+    g = g.reshape(k * k, k * k)
+
+    def one_spin(e):  # A or B, and G_kl = sum_mn (kl|mn) E_mn
+        ge = (g @ e.reshape(k * k, -1)).reshape(e.shape)
+        return np.tensordot(h_eff, e, 1) + 0.5 * np.tensordot(e, ge, ((0, 2), (0, 1))), ge
+
+    e_b = _replacement_matrices(k, n_beta)
+    e_a = e_b if n_alpha == n_beta else _replacement_matrices(k, n_alpha)
+    a, g_a = one_spin(e_a)
+    b = a if e_b is e_a else one_spin(e_b)[0]
+    n_a, n_b = len(a), len(b)
+    # H[(i, J), (I', J')] = sum_x left[i, I', x] right[x, J, J'] over the k^2 + 2
+    # pairs of alpha and beta factors (G^a_kl, E^b_kl), (A, 1) and (1, B)
+    left = np.ascontiguousarray(np.concatenate([g_a, [a, np.eye(n_a)]]).transpose(1, 2, 0))
+    right = np.concatenate([e_b, [np.eye(n_b), b]]).reshape(k * k + 2, -1)
+    if n_alpha != n_beta:
+        mat = [(left[i] @ right).reshape(n_a, n_b, n_b).swapaxes(0, 1) for i in range(n_a)]
+        return np.concatenate(mat).reshape(n_a * n_b, -1), np.zeros((0, 0))
+    sym, anti = np.triu_indices(n_a), np.triu_indices(n_a, 1)  # pairs I <= J, I < J
+    plus, minus = np.empty((len(sym[0]), len(sym[0]))), np.empty((len(anti[0]), len(anti[0])))
+    for i in range(n_a):
+        t = (left[i] @ right[:, i * n_b:]).reshape(n_a, n_b - i, n_b)  # [I', J - i, J']
+        swapped = t.transpose(2, 1, 0)  # H[(i, J), (J', I')] at [I', J - i, J']
+        plus[sym[0] == i] = (t + swapped)[sym[0], :, sym[1]].T
+        minus[anti[0] == i] = (t - swapped)[anti[0], 1:, anti[1]].T
+    weight = np.where(sym[0] == sym[1], np.sqrt(0.5), 1.0)  # t + swapped counts |II> twice
+    plus *= weight[:, None] * weight
+    return plus, minus
 
 
-def _below(dets: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Number of occupied spin orbitals of each determinant below its single bit."""
-    return np.bitwise_count(dets & (bits - 1))
+def fci_energy(h_ao: np.ndarray, eri_ao: np.ndarray, c: np.ndarray,
+               n_alpha: int, n_beta: int) -> float:
+    """Lowest electronic energy of n_alpha + n_beta electrons in the orbitals (columns) of c.
 
-
-def fci_oracle(
-    mol: Molecule,
-    integrals: IntegralSet,
-    scf: Optional[SCFResult] = None,
-    s_z: float = 0.0,
-) -> float:
-    """Exact total energy by dense diagonalization in the determinant basis.
-
-    Builds its own MO integrals from the canonical SCF orbitals and applies
-    Slater-Condon rules directly; shares nothing with the qubit pipeline.
-    Determinants are int64 occupation masks over interleaved spin orbitals.
-    The pairs j > i are walked in blocks of FCI_PAIR_BLOCK; in each block the
-    pairs differing by one or two spin orbitals get their element from the
-    antisymmetrized integrals <pq||rs> and the fermionic sign of
-    a+_r a+_s a_q a_p, read from popcounts of the occupation below each index.
+    H- of `_ci_blocks` is diagonalized only when (H- - E+) has no Cholesky factor.
     """
-    if scf is None:
-        scf = run_rhf(mol, integrals)
-    k = integrals.n_functions
+    k = c.shape[1]
     if k > MAX_FCI_ORBITALS:
         raise InputError(f"{k} orbitals exceeds the FCI oracle limit {MAX_FCI_ORBITALS}")
+    if not (0 <= n_alpha <= k and 0 <= n_beta <= k):
+        raise InputError(f"empty determinant space ({n_alpha} alpha and {n_beta} beta "
+                         f"electrons) for {k} orbitals")
+    g = eri_ao
+    for _ in range(4):  # contract the leading AO index; its MO index goes last
+        g = np.tensordot(g, c, (0, 0))
+    plus, minus = _ci_blocks(c.T @ h_ao @ c, g, n_alpha, n_beta)
+    e_plus = float(np.linalg.eigvalsh(plus)[0])
+    minus.flat[::len(minus) + 1] -= e_plus
+    try:
+        np.linalg.cholesky(minus)
+    except np.linalg.LinAlgError:  # H- has an eigenvalue at or below E+
+        return e_plus + min(0.0, float(np.linalg.eigvalsh(minus)[0]))
+    return e_plus
+
+
+def fci_oracle(mol: Molecule, integrals: IntegralSet, scf: Optional[SCFResult] = None,
+               s_z: float = 0.0) -> float:
+    """Exact total energy: `fci_energy` in the canonical SCF orbitals plus nuclear repulsion."""
+    if scf is None:
+        scf = run_rhf(mol, integrals)
     n_e = mol.n_electrons
     twice_sz = _twice_sz(s_z)
     if (n_e + twice_sz) % 2:
         raise InputError(f"s_z={s_z} is impossible for {n_e} electrons")
     n_alpha = (n_e + twice_sz) // 2
-    n_beta = n_e - n_alpha
-    if not (0 <= n_alpha <= k and 0 <= n_beta <= k):
-        raise InputError(f"empty determinant space (n={n_e}, s_z={s_z}) for {k} orbitals")
-    c = scf.C
-    h_mo = c.T @ integrals.h_core @ c
-    g_mo = np.einsum("pqrs,pi,qj,rk,sl->ijkl", integrals.eri, c, c, c, c, optimize=True)
-    n = 2 * k
-    spatial, spin = np.divmod(np.arange(n), 2)
-    h_so = np.kron(h_mo, np.eye(2))
-    same = spin[:, None] == spin
-    # <pq|rs> = (pr|qs) when p, r and q, s share a spin
-    chem = g_mo[np.ix_(spatial, spatial, spatial, spatial)] * same[:, :, None, None] * same
-    phys = chem.transpose(0, 2, 1, 3)
-    anti = phys - phys.transpose(0, 1, 3, 2)
-    # <pq||pq> and, for singles, <pq||rq> gathered as [p, r, q]
-    pair_energy = np.einsum("pqpq->pq", anti)
-    single_field = np.einsum("pqrq->prq", anti)
-
-    dets = (_spin_strings(k, n_alpha, 0)[:, None] | _spin_strings(k, n_beta, 1)).ravel()
-    dim = len(dets)
-    occ = ((dets[:, None] >> np.arange(n)) & 1).astype(float)
-    mat = np.zeros((dim, dim))
-    mat.flat[::dim + 1] = occ @ np.diag(h_so) + 0.5 * ((occ @ pair_energy) * occ).sum(axis=1)
-    # pair t = (i, j > i) in row-major order; row i starts at row_start[i]
-    row_len = np.arange(dim - 1, -1, -1)
-    row_start = np.cumsum(row_len) - row_len
-    n_pairs = dim * (dim - 1) // 2
-    for lo in range(0, n_pairs, FCI_PAIR_BLOCK):
-        t = np.arange(lo, min(lo + FCI_PAIR_BLOCK, n_pairs))
-        i = np.searchsorted(row_start, t, side="right") - 1
-        j = t - row_start[i] + i + 1
-        n_diff = np.bitwise_count(dets[i] ^ dets[j])
-
-        # singles: a+_r a_p |D_i> = sign |D_j>
-        hit = n_diff == 2
-        i1, j1 = i[hit], j[hit]
-        d = dets[i1]
-        p_bit, r_bit = d & ~dets[j1], dets[j1] & ~d
-        p, r = np.bitwise_count(p_bit - 1), np.bitwise_count(r_bit - 1)
-        sign = 1.0 - 2.0 * ((_below(d, p_bit) + _below(d ^ p_bit, r_bit)) & 1)
-        val = sign * (h_so[p, r] + (occ[i1] * single_field[p, r]).sum(axis=1))
-        mat[np.r_[i1, j1], np.r_[j1, i1]] = np.r_[val, val]
-
-        # doubles: a+_r a+_s a_q a_p |D_i> = sign |D_j>, with p < q and r < s
-        hit = n_diff == 4
-        i2, j2 = i[hit], j[hit]
-        d = dets[i2]
-        removed, added = d & ~dets[j2], dets[j2] & ~d
-        p_bit, r_bit = removed & -removed, added & -added
-        q_bit, s_bit = removed ^ p_bit, added ^ r_bit
-        p, q, r, s = (np.bitwise_count(b - 1) for b in (p_bit, q_bit, r_bit, s_bit))
-        d_pq = d ^ p_bit ^ q_bit
-        exponent = (_below(d, p_bit) + _below(d ^ p_bit, q_bit)
-                    + _below(d_pq, s_bit) + _below(d_pq, r_bit))
-        val = (1.0 - 2.0 * (exponent & 1)) * anti[p, q, r, s]
-        mat[np.r_[i2, j2], np.r_[j2, i2]] = np.r_[val, val]
-    return float(np.linalg.eigvalsh(mat)[0]) + nuclear_repulsion(mol)
+    energy = fci_energy(integrals.h_core, integrals.eri, scf.C, n_alpha, n_e - n_alpha)
+    return energy + nuclear_repulsion(mol)

@@ -18,7 +18,15 @@ from qembed.qubits import (
     mo_transform,
     second_quantize,
 )
-from qembed.solver import _assemble_sector_matrix, _sector_basis, fci_oracle, ground_state
+from qembed.solver import (
+    _assemble_sector_matrix,
+    _ci_blocks,
+    _replacement_matrices,
+    _sector_basis,
+    fci_energy,
+    fci_oracle,
+    ground_state,
+)
 
 
 def sector_csr(ham, states):
@@ -33,15 +41,20 @@ def full_jw(system, constant=None):
     return jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
 
 
-def embedded_jw(system, active, localizer="spade"):
-    """Embedded Hamiltonian and active electron count, as `qembed embed` builds them."""
+def embedded_problem(system, active, localizer="spade", projector="huzinaga"):
+    """Embedded problem and its kept orbitals, as `qembed embed` builds them."""
     if localizer == "spade":
         part = spade_partition(system.scf, system.ints.S, system.basis, active)
     else:
         c_lmo = population_localize(system.scf, system.ints.S, system.basis)
         part = assign_by_population(c_lmo, system.ints.S, system.basis, active)
-    problem, emb = run_embedded_scf(part, system.ints, system.mol)
-    c_red = drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+    problem, emb = run_embedded_scf(part, system.ints, system.mol, projector_kind=projector)
+    return problem, drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+
+
+def embedded_jw(system, active, localizer="spade", projector="huzinaga"):
+    """Embedded Hamiltonian and active electron count."""
+    problem, c_red = embedded_problem(system, active, localizer, projector)
     mo = mo_transform(problem.h_emb, system.ints.eri, c_red, constant=problem.classical_energy)
     return jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals), problem.n_act_electrons
 
@@ -117,7 +130,8 @@ def test_oracle_equivalence_nh3_at_orbital_limit(nh3):
     finally:
         tracemalloc.stop()
     assert gs.energy == pytest.approx(e_fci, abs=1e-8)
-    # the dense CI matrix plus slack: the pair walk stays blocked
+    # the dense 3136^2 CI matrix plus slack: the blocks are built one alpha string
+    # at a time and never hold the whole (I, J, I', J') tensor, which would not fit
     assert peak <= 1.25 * 3136**2 * 8
 
 
@@ -131,12 +145,72 @@ def test_triplet_oracle_matches_qubit_sector(name, request):
     )
 
 
-def test_oracle_pair_block_seams(lih, monkeypatch):
-    # 13 is prime and does not divide LiH's 225 * 224 / 2 determinant pairs,
-    # so blocks end mid-row and the last one is partial
-    full = fci_oracle(lih.mol, lih.ints, lih.scf)
-    monkeypatch.setattr(qembed.solver, "FCI_PAIR_BLOCK", 13)
-    assert fci_oracle(lih.mol, lih.ints, lih.scf) == pytest.approx(full, abs=1e-12)
+def mo_integrals(system):
+    """h and (kl|mn) in the canonical SCF orbitals, by one einsum."""
+    c = system.scf.C
+    return c.T @ system.ints.h_core @ c, np.einsum(
+        "pqrs,pi,qj,rk,sl->ijkl", system.ints.eri, c, c, c, c, optimize=True)
+
+
+@pytest.mark.parametrize("name", ["lih", "water"])
+def test_ci_blocks_split_the_kron_matrix(name, request):
+    # the whole CI matrix A x 1 + 1 x A + sum_kl G_kl x E_kl over the alpha x beta
+    # string grid, with G_kl = sum_mn (kl|mn) E_mn; its spectrum is that of H+ and H-
+    system = request.getfixturevalue(name)
+    h, g = mo_integrals(system)
+    k, n_half = len(h), system.mol.n_electrons // 2
+    e = _replacement_matrices(k, n_half)
+    g_e = np.tensordot(g.reshape(k * k, k * k), e, 1)
+    h_eff = h - 0.5 * np.einsum("kmml->kl", g)
+    a = np.tensordot(h_eff.ravel(), e, 1) + 0.5 * sum(ex @ gx for ex, gx in zip(e, g_e))
+    one = np.eye(len(a))
+    whole = np.kron(a, one) + np.kron(one, a) + sum(np.kron(gx, ex) for ex, gx in zip(e, g_e))
+    plus, minus = _ci_blocks(h, g, n_half, n_half)
+    n = len(one)
+    assert (len(plus), len(minus)) == (n * (n + 1) // 2, n * (n - 1) // 2)
+    both = np.sort(np.r_[np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)])
+    assert np.abs(both - np.linalg.eigvalsh(whole)).max() <= 1e-10
+
+
+def test_fci_energy_with_as_many_alpha_as_beta_strings(lih):
+    # 4 alpha and 2 beta electrons in LiH's 6 orbitals: C(6, 4) = C(6, 2) = 15
+    # strings each, but swapping them is no symmetry, so the whole matrix is solved
+    e_fci = fci_energy(lih.ints.h_core, lih.ints.eri, lih.scf.C, 4, 2)
+    gs = ground_state(full_jw(lih), n_electrons=6, s_z=1)
+    assert e_fci + nuclear_repulsion(lih.mol) == pytest.approx(gs.energy, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["ch2", "nh"])
+def test_triplet_ground_state_in_antisymmetric_block(name, request):
+    # the lowest state is a triplet: at S_z = 0 it lies in H- alone, below
+    # every eigenvalue of H+, so the Cholesky test must fail and send the
+    # oracle to H-
+    system = request.getfixturevalue(name)
+    e_triplet = fci_oracle(system.mol, system.ints, system.scf, s_z=1)
+    assert fci_oracle(system.mol, system.ints, system.scf, s_z=0) == pytest.approx(
+        e_triplet, abs=1e-10)
+    h, g = mo_integrals(system)
+    n_half = system.mol.n_electrons // 2
+    e_plus = np.linalg.eigvalsh(_ci_blocks(h, g, n_half, n_half)[0])[0]
+    assert e_plus + nuclear_repulsion(system.mol) > e_triplet + 1e-3
+
+
+@pytest.mark.parametrize("name, active, projector", [
+    ("water", (0, 1), "huzinaga"),
+    ("water", (0, 1), "mu"),
+    ("ch4", (0, 1), "huzinaga"),
+])
+def test_fci_energy_matches_embedded_qubit_route(name, active, projector, request):
+    # the embedded Hamiltonian, projector and constant included, solved by two
+    # routes that share no code
+    system = request.getfixturevalue(name)
+    problem, c_red = embedded_problem(system, active, projector=projector)
+    assert c_red.shape[1] <= qembed.solver.MAX_FCI_ORBITALS
+    n_e = problem.n_act_electrons
+    ham, _ = embedded_jw(system, active, projector=projector)
+    e_qubit = ground_state(ham, n_electrons=n_e, s_z=0).energy
+    e_fci = fci_energy(problem.h_emb, system.ints.eri, c_red, n_e // 2, n_e - n_e // 2)
+    assert e_fci + problem.classical_energy == pytest.approx(e_qubit, abs=1e-9)
 
 
 def test_oracle_rejects_impossible_s_z(water):
