@@ -27,7 +27,9 @@ from .molecule import Molecule
 
 ERI_BLOCK = 4096   # primitive quartets per eri_tensor batch; a batch holds whole shell quartets
 _BOYS_SWITCH = 35.0
-_BOYS_SERIES_TERMS = 130
+_BOYS_SERIES_TERMS = 130   # ascending series terms, for the Taylor grid knots
+_BOYS_STEP = 0.05
+_BOYS_TAYLOR_TERMS = 8
 _L_MAX = max(CARTESIAN_POWERS)
 # Hermite indices (t, u, v) by total order, up to the order of R in a quartet
 _HERMITE = [
@@ -57,25 +59,47 @@ class IntegralSet:
         return self.S.shape[0]
 
 
+@lru_cache(maxsize=None)  # one table per top order, built on first use
+def _boys_table(n: int) -> np.ndarray:
+    """F_{n+j}(t_k) / j! for j < _BOYS_TAYLOR_TERMS at the knots t_k = k * _BOYS_STEP <= 35.
+
+    Shape (terms, knots). The top order comes from the ascending series, the rest by
+    downward recursion.
+    """
+    t = np.arange(round(_BOYS_SWITCH / _BOYS_STEP) + 1) * _BOYS_STEP
+    top = n + _BOYS_TAYLOR_TERMS - 1
+    term = np.full_like(t, 1.0 / (2 * top + 1))
+    acc = term.copy()
+    for i in range(1, _BOYS_SERIES_TERMS):
+        term = term * 2.0 * t / (2 * top + 2 * i + 1)
+        acc += term
+    expt = np.exp(-t)
+    table = [acc * expt]
+    for m in range(top, n, -1):   # F_{m-1} = (2t F_m + e^-t)/(2m-1)
+        table.append((2.0 * t * table[-1] + expt) / (2 * m - 1))
+    return np.array(table[::-1]) / np.cumprod([1.0, *range(1, _BOYS_TAYLOR_TERMS)])[:, None]
+
+
 def boys(n_max: int, t: np.ndarray) -> np.ndarray:
     """Boys functions F_0..F_n_max, shape (n_max+1,) + t.shape.
 
-    Small arguments use the ascending series with downward recursion from
-    F_{n_max}; large arguments (t >= 35) the complete-integral asymptote with
-    upward recursion. Absolute accuracy is ~1e-15 over the whole range.
+    Small arguments (t < 35) take F_{n_max} from a Taylor expansion about the nearest
+    knot of a grid (Helgaker, Jorgensen & Olsen, section 9.8), F_n(t_k - d) =
+    sum_j F_{n+j}(t_k) d^j / j!, then recurse downward; large arguments the
+    complete-integral asymptote with upward recursion. Absolute accuracy is ~1e-15 over
+    the whole range.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((n_max + 1,) + t.shape)
     small = t < _BOYS_SWITCH
     ts = t[small]
-    # series for the top order, then downward: F_{m-1} = (2t F_m + e^-t)/(2m-1)
-    term = np.full_like(ts, 1.0 / (2 * n_max + 1))
-    acc = term.copy()
-    for i in range(1, _BOYS_SERIES_TERMS):
-        term = term * 2.0 * ts / (2 * n_max + 2 * i + 1)
-        acc += term
+    knot = np.rint(ts * (1.0 / _BOYS_STEP)).astype(np.intp)
+    d = knot * _BOYS_STEP - ts
+    coeffs = _boys_table(n_max)[:, knot]
+    f = coeffs[-1]
+    for c in coeffs[-2::-1]:   # Horner in d
+        f = f * d + c
     expt_s = np.exp(-ts)
-    f = acc * expt_s
     out[n_max][small] = f
     for m in range(n_max, 0, -1):
         f = (2.0 * ts * f + expt_s) / (2 * m - 1)

@@ -54,10 +54,9 @@ def mo_transform(h_ao: np.ndarray, eri_ao: np.ndarray, c_red: np.ndarray,
     """
     h = c_red.T @ h_ao @ c_red
     h = 0.5 * (h + h.T)
-    g = np.einsum("pqrs,pi->iqrs", eri_ao, c_red, optimize=True)
-    g = np.einsum("iqrs,qj->ijrs", g, c_red, optimize=True)
-    g = np.einsum("ijrs,rk->ijks", g, c_red, optimize=True)
-    g = np.einsum("ijks,sl->ijkl", g, c_red, optimize=True)
+    g = eri_ao
+    for _ in range(4):  # contract the leading AO index; its MO index goes last
+        g = np.tensordot(g, c_red, (0, 0))
     return MOIntegrals(h=h, g=g, constant=constant)
 
 

@@ -52,8 +52,9 @@ def density_matrix(c_occ: np.ndarray) -> np.ndarray:
 
 def two_electron_matrix(gamma: np.ndarray, eri: np.ndarray) -> np.ndarray:
     """Coulomb minus half exchange contracted with a (factor-2) density."""
-    j = np.einsum("pqrs,sr->pq", eri, gamma, optimize=True)
-    k = np.einsum("prsq,rs->pq", eri, gamma, optimize=True)
+    n = len(gamma)
+    j = (eri.reshape(n * n, n * n) @ gamma.T.ravel()).reshape(n, n)   # sum_rs (pq|rs) gamma_sr
+    k = np.tensordot(eri, gamma, ((1, 2), (0, 1)))                     # sum_rs (pr|sq) gamma_rs
     return j - 0.5 * k
 
 
@@ -104,9 +105,8 @@ class _Diis:
             n = len(self.focks)
             b = -np.ones((n + 1, n + 1))
             b[-1, -1] = 0.0
-            for i in range(n):
-                for j in range(i, n):
-                    b[i, j] = b[j, i] = np.vdot(self.errors[i], self.errors[j])
+            errors = np.reshape(self.errors, (n, -1))
+            b[:n, :n] = errors @ errors.T
             rhs = np.zeros(n + 1)
             rhs[-1] = -1.0
             try:
@@ -119,7 +119,7 @@ class _Diis:
                 self.focks.pop(0)
                 self.errors.pop(0)
                 continue
-            return np.einsum("i,ipq->pq", coeffs, np.asarray(self.focks))
+            return np.tensordot(coeffs, self.focks, 1)
         return fock
 
 

@@ -354,6 +354,39 @@ def test_scan_h2_table(tmp_path, h2_file):
         assert float(cells[4]) == pytest.approx(float(cells[3]), abs=1e-9)
 
 
+# the README scan (water, active O and H2, 0.8:3.0:0.2 A) as r: (e_rhf, e_fci, e_embed).
+# e_fci does not depend on which RHF solution a point reaches; beyond 2.0 A the
+# RHF of some points stops at a higher stationary point that moves with integral
+# round-off, so e_rhf and e_embed are stored only up to 2.0 A
+README_SCAN = {
+    0.8: (-74.9045617225, -74.9455074087, -74.9211883124),
+    1.0: (-74.9637335186, -75.0160923405, -74.9905304243),
+    1.2: (-74.9264218808, -74.9956798574, -74.9694221923),
+    1.4: (-74.8607545031, -74.9539183553, -74.9277694063),
+    1.6: (-74.7908671019, -74.9153505301, -74.8900038713),
+    1.8: (-74.7257165326, -74.8872945624, -74.8630185408),
+    2.0: (-74.6694986962, -74.8700081228, -74.8466819831),
+    2.2: (None, -74.8605768614, None),
+    2.4: (None, -74.8557971673, None),
+    2.6: (None, -74.8534764083, None),
+    2.8: (None, -74.8523855790, None),
+    3.0: (None, -74.8518888516, None),
+}
+
+
+def test_readme_water_scan_regression(tmp_path, water_file):
+    out = tmp_path / "scan.txt"
+    config = RunConfig(geometry=water_file, active_atoms=(0, 2), out=str(out))
+    assert cmd_scan(config, (0, 2), parse_distances("0.8:3.0:0.2")) == 0
+    rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [row[-1] for row in rows] == ["ok"] * 12
+    assert [float(row[0]) for row in rows] == pytest.approx(list(README_SCAN))
+    for row, stored in zip(rows, README_SCAN.values()):
+        for value, expected in zip((row[2], row[3], row[4]), stored):
+            if expected is not None:
+                assert float(value) == pytest.approx(expected, abs=1e-9)
+
+
 def test_scan_single_minimum_h2(tmp_path, h2_file):
     out = tmp_path / "scan.txt"
     config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(out))

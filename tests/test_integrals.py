@@ -194,6 +194,18 @@ def test_boys_absolute_accuracy(t):
         assert values[m][0] == pytest.approx(boys_reference(m, t), abs=1e-14)
 
 
+def test_boys_dense_sweep_below_the_switch():
+    # the Taylor grid at its knots, halfway between knots (the farthest point from
+    # one), a quarter of the way and just below the switch to the asymptote; every
+    # order 0..4 from the top order n_max = 4 and from each lower n_max
+    knots = np.arange(700) * 0.05
+    ts = np.concatenate([knots, knots + 0.025, knots + 0.0125, [35.0 - 1e-12]])
+    assert len(ts) >= 2000 and ts.max() < 35.0
+    reference = np.array([[boys_reference(m, t) for t in ts] for m in range(5)])
+    for n_max in range(5):
+        assert np.abs(boys(n_max, ts) - reference[: n_max + 1]).max() <= 1e-14
+
+
 def test_boys_batch_shapes():
     ts = np.linspace(0.0, 80.0, 33)
     out = boys(3, ts)

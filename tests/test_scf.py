@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qembed.scf
 from qembed.exceptions import ConvergenceError
 from qembed.molecule import parse_xyz
 from qembed.scf import (
+    _Diis,
     density_matrix,
     electronic_energy,
     fock_build,
@@ -151,6 +153,74 @@ def test_two_electron_build_is_linear(a, b):
         g2, water.ints.eri
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+def assert_relative(actual, reference, rtol=1e-12):
+    assert np.abs(actual - reference).max() <= rtol * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("name", ["water", "methanol"])
+def test_two_electron_matrix_matches_the_einsum_contractions(name, request):
+    system = request.getfixturevalue(name)
+    eri = system.ints.eri
+    rng = np.random.default_rng(11)
+    random = rng.standard_normal(eri.shape[:2])
+    for gamma in (system.scf.gamma, random + random.T):
+        j = np.einsum("pqrs,sr->pq", eri, gamma)
+        k = np.einsum("prsq,rs->pq", eri, gamma)
+        assert_relative(two_electron_matrix(gamma, eri), j - 0.5 * k)
+
+
+class _VdotLoopDiis(_Diis):
+    """The extrapolation with B built entry by entry from vdot, as the reference."""
+
+    def extrapolate(self, fock, error):
+        self.focks.append(fock)
+        self.errors.append(error)
+        if len(self.focks) > self.size:
+            self.focks.pop(0)
+            self.errors.pop(0)
+        while len(self.focks) > 1:
+            n = len(self.focks)
+            b = -np.ones((n + 1, n + 1))
+            b[-1, -1] = 0.0
+            for i in range(n):
+                for j in range(i, n):
+                    b[i, j] = b[j, i] = np.vdot(self.errors[i], self.errors[j])
+            rhs = np.zeros(n + 1)
+            rhs[-1] = -1.0
+            try:
+                coeffs = np.linalg.solve(b, rhs)[:n]
+            except np.linalg.LinAlgError:
+                self.focks.pop(0)
+                self.errors.pop(0)
+                continue
+            if np.max(np.abs(coeffs)) > 1e6:
+                self.focks.pop(0)
+                self.errors.pop(0)
+                continue
+            return np.einsum("i,ipq->pq", coeffs, np.asarray(self.focks))
+        return fock
+
+
+def test_diis_matches_the_vdot_loop(methanol, monkeypatch):
+    # replay the (Fock, residual) pairs of a methanol RHF run, which passes the
+    # subspace size, through the product-built B matrix and the vdot loop
+    steps = []
+    extrapolate = _Diis.extrapolate
+
+    def recorded(self, fock, error):
+        steps.append((fock.copy(), error.copy()))
+        return extrapolate(self, fock, error)
+
+    monkeypatch.setattr(qembed.scf._Diis, "extrapolate", recorded)
+    run_rhf(methanol.mol, methanol.ints)
+    monkeypatch.undo()
+    assert len(steps) >= 10 > qembed.scf.DIIS_SIZE
+    diis, reference = _Diis(), _VdotLoopDiis()
+    for fock, error in steps[:10]:
+        assert_relative(diis.extrapolate(fock, error), reference.extrapolate(fock, error))
+    assert len(diis.focks) == len(reference.focks) == qembed.scf.DIIS_SIZE
 
 
 def test_roothaan_orthonormal_identity_overlap():

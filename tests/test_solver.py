@@ -152,6 +152,15 @@ def mo_integrals(system):
         "pqrs,pi,qj,rk,sl->ijkl", system.ints.eri, c, c, c, c, optimize=True)
 
 
+@pytest.mark.parametrize("name", ["water", "methanol"])
+def test_mo_transform_matches_the_one_einsum(name, request):
+    system = request.getfixturevalue(name)
+    h, g = mo_integrals(system)
+    mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C)
+    for actual, reference in ((mo.h, h), (mo.g, g)):
+        assert np.abs(actual - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 @pytest.mark.parametrize("name", ["lih", "water"])
 def test_ci_blocks_split_the_kron_matrix(name, request):
     # the whole CI matrix A x 1 + 1 x A + sum_kl G_kl x E_kl over the alpha x beta
