@@ -279,6 +279,8 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     config.validate()
     if len(distances) < 2:
         raise InputError("a scan needs at least two distances")
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
     base_mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
     grid = sorted(set(round(r, 12) for r in distances))
     tasks = [(config, base_mol, atoms, r) for r in grid]

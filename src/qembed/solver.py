@@ -1,22 +1,23 @@
 """Exact ground states: qubit-Hamiltonian diagonalization and a determinant FCI oracle.
 
-The qubit route restricts the basis to occupation strings with the requested
-particle number and S_z before diagonalizing: dense for small blocks,
-otherwise LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) with block
-size 1, a Jacobi preconditioner and a seeded start. The sector matrix is
-built from the Pauli terms grouped by X mask. A group flips every state by
-the same bits, and its value on a state is a sum of signed Z phases whose
-sign factors into an alpha-string and a beta-string sign, as in the
-string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984): the
-values of a group over the alpha × beta grid are one small matrix product
-of two sign tables, and its partners are looked up in a rank table over all
-bitstrings. The determinant route does its own MO transform and writes H
-through the alpha and beta replacement matrices E_kl = <I|a+_k a_l|J> of the
-same string-driven CI, one alpha string at a time. At S_z = 0 it splits H
-into the blocks even and odd under swapping the alpha and beta strings, and
-diagonalizes the odd block only when a Cholesky test cannot show that it lies
-above the even block's lowest eigenvalue. It enumerates its own strings and
-never touches the Pauli machinery, so the two paths check each other.
+The qubit route diagonalizes in one (N, S_z) sector: the grid of its alpha
+strings (even qubits) times its beta strings (odd qubits), as in the
+string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984).
+Small sectors are solved densely, larger ones by LOBPCG (Knyazev, SIAM J.
+Sci. Comput. 23, 517 (2001)) with block size 1, a Jacobi preconditioner and
+a seeded start. The sector matrix is built from the Pauli terms grouped by
+X mask. A group flips the alpha and the beta string of every state apart,
+so a state's partner is the pair of ranks of its two flipped strings, and
+the group's value on a state is a sum of signed Z phases whose sign factors
+into an alpha-string and a beta-string sign: the values of a group over the
+grid are one small matrix product of two sign tables. The determinant
+route does its own MO transform and writes H through the alpha and beta
+replacement matrices E_kl = <I|a+_k a_l|J> of the same string-driven CI,
+one alpha string at a time. At S_z = 0 it splits H into the blocks even and
+odd under swapping the alpha and beta strings, and diagonalizes the odd
+block only when a Cholesky test cannot show that it lies above the even
+block's lowest eigenvalue. It enumerates its own strings and never touches
+the Pauli machinery, so the two paths check each other.
 """
 
 from __future__ import annotations
@@ -56,22 +57,23 @@ def _twice_sz(s_z: float) -> int:
     return int(2 * s_z)
 
 
-def _sector_basis(n_qubits: int, n_electrons: Optional[int], s_z: Optional[float]) -> np.ndarray:
-    """Ascending occupation bitstrings in the (N, S_z) sector; None leaves one free.
+def _sector_basis(n_qubits: int, n_electrons: int, s_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending alpha strings (even bits) and beta strings (odd bits) of the (N, S_z) sector.
 
-    Spin orbitals are interleaved (even bit = alpha). Each allowed (n_alpha, n_beta)
-    split ORs every alpha string with every beta string, so no other string is built.
+    Spin orbitals are interleaved (even bit = alpha). State a * len(betas) + b
+    of the sector is alphas[a] | betas[b]. A sector without states raises
+    InputError.
     """
-    twice_sz = None if s_z is None else _twice_sz(s_z)
+    twice_sz = _twice_sz(s_z)
     halves = [np.zeros(1, dtype=np.int64)] * 2  # all strings over the even, the odd bits
     for q in range(n_qubits):
         halves[q % 2] = np.concatenate([halves[q % 2], halves[q % 2] | (1 << q)])
-    alphas, betas = halves
-    n_alpha, n_beta = np.bitwise_count(alphas), np.bitwise_count(betas)
-    parts = [(alphas[n_alpha == a, None] | betas[n_beta == b]).ravel()
-             for a in range(int(n_alpha.max()) + 1) for b in range(int(n_beta.max()) + 1)
-             if n_electrons in (None, a + b) and twice_sz in (None, a - b)]
-    return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
+    n_alpha = (n_electrons + twice_sz) // 2
+    alphas = halves[0][np.bitwise_count(halves[0]) == n_alpha]
+    betas = halves[1][np.bitwise_count(halves[1]) == n_electrons - n_alpha]
+    if (n_electrons + twice_sz) % 2 or not (alphas.size and betas.size):
+        raise InputError(f"empty sector (n={n_electrons}, s_z={s_z}) for {n_qubits} qubits")
+    return alphas, betas
 
 
 def _signs(masks: np.ndarray) -> np.ndarray:
@@ -79,28 +81,46 @@ def _signs(masks: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(masks) & 1)
 
 
-def _sector_blocks(h: QubitHamiltonian, states: np.ndarray, rank: np.ndarray, with_values: bool):
-    """Walk the (state, group) cells of the sector in blocks of about CELL_BLOCK.
+def _partner_ranks(strings: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """[g, i]: the rank of strings[i] ^ flips[g] among the ascending strings, -1 if it is none.
+
+    int32, as are the partner states built from them: a sector has far fewer than 2^31 states.
+    """
+    flipped = strings ^ flips[:, None]
+    at = np.minimum(np.searchsorted(strings, flipped), len(strings) - 1).astype(np.int32)
+    return np.where(strings[at] == flipped, at, np.int32(-1))
+
+
+def _assemble_sector_matrix(
+    h: QubitHamiltonian, alphas: np.ndarray, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project the Pauli sum onto the alpha × beta sector grid, as CSR (data, indices, indptr).
 
     A group is the words of one x mask whose phase i^(number of Y) is real,
-    or those whose phase is imaginary. Groups of equal word count k form a
-    run, cut into chunks of at most CELL_BLOCK // (number of beta strings)
-    groups. Within a chunk the states are walked in alpha-then-beta order,
-    over the grid of the sector's distinct alpha strings (even bits) and
-    distinct beta strings (odd bits), a few alpha strings per block; grid
-    cells outside the sector (rank -1) are skipped.
+    or those whose phase is imaginary. The x mask flips the alpha and the
+    beta string of a state apart, so group g takes state (a, b) to state
+    ra[g, a] * n_beta + rb[g, b], from the ranks of the two flipped strings
+    (-1 outside the sector). Row s holds the value at s of each real group
+    that flips s into the sector, in the partner's column: a Hermitian
+    operator with real coefficients is real symmetric once its imaginary
+    part cancels. The entry count of every row is one product of the two
+    rank tables, so a matrix over MAX_SECTOR_BYTES is refused before
+    anything of its size is allocated.
 
-    Yields (pos, partners, imag, values) per block: the rank of each state,
-    the rank of each state flipped by each group's x mask (-1 outside the
-    sector), which groups are imaginary, and, with_values, each cell's value
-    sum_w f_w (-1)^|s∧z_w| over the group's words, where f_w is the
-    coefficient times the real sign of i^(number of Y). The sign is a
-    product of an alpha and a beta sign, so the values of one group over the
-    grid are the matrix product of an (alpha × k) and a (k × beta) table.
-    It is evaluated one alpha string at a time, (1 × k) by (k × beta) for
-    every group of the chunk in one batched call, so no value depends on the
-    block size: numpy hands a single row to a matrix-vector kernel, whose
-    rounding differs from the matrix-matrix one.
+    The entries are written in place, each row in group order whatever the
+    block size. Groups of equal word count k form a run, cut into chunks of
+    at most CELL_BLOCK // n_beta groups, and a chunk walks the grid a few
+    alpha strings at a time. A cell's value is sum_w f_w (-1)^|s∧z_w|, with
+    f_w the coefficient times the real sign of i^(number of Y). The sign is
+    a product of an alpha and a beta sign, so a group's values over the
+    grid are the product of an (alpha × k) and a (k × beta) table. It is
+    evaluated one alpha string at a time, for every group of the chunk in
+    one batched call: numpy hands a single row to a matrix-vector kernel,
+    whose rounding differs from the matrix-matrix one, so no value depends
+    on the block size. A word's phase is exactly +-1 or +-i; the imaginary
+    groups must cancel on every cell that flips into the sector, and are
+    checked. The real groups have distinct x masks, so a row's columns are
+    distinct too.
     """
     x, z = h.x.astype(np.int64), h.z.astype(np.int64)
     n_y = np.bitwise_count(x & z)
@@ -112,90 +132,62 @@ def _sector_blocks(h: QubitHamiltonian, states: np.ndarray, rank: np.ndarray, wi
     opens_group[1:] = (x[1:] != x[:-1]) | (imag[1:] != imag[:-1])
     starts = np.flatnonzero(opens_group)
     sizes = np.diff(np.r_[starts, len(x)])
+    imag = imag[starts]
 
     alpha_mask = sum(1 << q for q in range(0, h.n_qubits, 2))
-    alphas = np.unique(states & alpha_mask)
-    betas = np.unique(states & ~alpha_mask)
-    per_chunk = max(1, CELL_BLOCK // len(betas))
-    for k in np.unique(sizes):
-        run = starts[sizes == k]
-        for lo in range(0, len(run), per_chunk):
-            first = run[lo:lo + per_chunk]
-            words = first[:, None] + np.arange(k)
-            per_block = max(1, CELL_BLOCK // (len(first) * len(betas)))
-            if with_values:
-                # (group, alpha, word) and (group, word, beta) tables of (-1)^|s∧z|
-                a_table = _signs(z[words][:, None] & alphas[:, None]) * factors[words][:, None]
-                b_table = _signs(z[words][:, :, None] & betas)[:, None]
-            for a in range(0, len(alphas), per_block):
-                cells = (alphas[a:a + per_block, None] | betas).ravel()
-                pos = rank[cells]
-                inside = pos >= 0
-                values = None
-                if with_values:
-                    grid = np.matmul(a_table[:, a:a + per_block, None], b_table)
-                    values = np.ascontiguousarray(grid.reshape(len(first), -1)[:, inside].T)
-                yield pos[inside], rank[cells[inside, None] ^ x[first]], imag[first], values
-
-
-def _assemble_sector_matrix(
-    h: QubitHamiltonian, states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the Pauli sum onto the (ascending) sector basis, as CSR (data, indices, indptr).
-
-    Row s holds, for each x-mask group that flips s into the sector, the
-    value of the group at s in column rank(s ^ x): a Hermitian operator with
-    real coefficients is real symmetric once its imaginary part cancels.
-    Flipped states are found through a rank table over all 2^n bitstrings
-    (int32, -1 outside the sector). A first pass over the blocks of
-    `_sector_blocks` counts the entries of each row and refuses a matrix over
-    MAX_SECTOR_BYTES before anything of that size is allocated; a second
-    pass writes each row's entries in place, in the caller's state order,
-    in the same group order whatever the block size. Each Pauli word
-    carries a phase of exactly +-1 or +-i; the imaginary groups must cancel
-    on every cell that flips into the sector, and are checked. Only real
-    groups are stored and their x masks are distinct, so the columns of a
-    row are distinct too.
-    """
-    dim = len(states)
-    rank = np.full(1 << h.n_qubits, -1, dtype=np.int32)
-    rank[states] = np.arange(dim, dtype=np.int32)
-    per_row = np.zeros(dim, dtype=np.int64)
-    nnz = 0
-    for pos, partners, imag, _ in _sector_blocks(h, states, rank, with_values=False):
-        hit = partners >= 0
-        hit[:, imag] = False
-        counts = np.count_nonzero(hit, axis=1)
-        per_row[pos] += counts
-        nnz += int(counts.sum())
-        # 12 bytes per entry (float64 value, int32 column), about 40 vectors
-        # of the sector dimension (build buffers and eigensolver), and the
-        # rank table
-        needed = 12 * nnz + 8 * 40 * dim + rank.nbytes
-        if needed > MAX_SECTOR_BYTES:
-            raise InputError(
-                f"sector of dimension {dim} needs {needed / 2**20:.0f} MB or more for "
-                f"its sparse matrix, over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit"
-            )
+    ra = _partner_ranks(alphas, x[starts] & alpha_mask)
+    rb = _partner_ranks(betas, x[starts] & ~alpha_mask)
+    n_beta = len(betas)
+    dim = len(alphas) * n_beta
+    # float, as BLAS has no integer product; the counts are far below 2^53
+    per_row = ((ra[~imag] >= 0).T.astype(float) @ (rb[~imag] >= 0)).astype(np.int64).ravel()
+    nnz = int(per_row.sum())
+    # 12 bytes per entry (float64 value, int32 column) and about 40 vectors
+    # of the sector dimension (build buffers and eigensolver)
+    needed = 12 * nnz + 8 * 40 * dim
+    if needed > MAX_SECTOR_BYTES:
+        raise InputError(
+            f"sector of dimension {dim} needs {needed / 2**20:.0f} MB for its sparse "
+            f"matrix, over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit"
+        )
     indptr = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(per_row, out=indptr[1:])
     index_type = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
     indices = np.empty(nnz, dtype=index_type)
     data = np.empty(nnz)
     fill = indptr[:-1].copy()
-    for pos, partners, imag, vals in _sector_blocks(h, states, rank, with_values=True):
-        hit = partners >= 0
-        if imag.any():
-            if np.abs(vals[:, imag][hit[:, imag]]).max(initial=0.0) > 1e-10:
-                raise InputError("Hamiltonian is not real in the occupation basis")
-            hit[:, imag] = False
-        counts = np.count_nonzero(hit, axis=1)
-        # state-major, so each row's entries are contiguous and in group order
-        cell = np.flatnonzero(hit)
-        at = np.repeat(fill[pos] - (np.cumsum(counts) - counts), counts) + np.arange(len(cell))
-        indices[at] = partners.ravel()[cell]
-        data[at] = vals.ravel()[cell]
-        fill[pos] += counts
+
+    per_chunk = max(1, CELL_BLOCK // n_beta)
+    for k in np.unique(sizes):
+        run = np.flatnonzero(sizes == k)
+        for lo in range(0, len(run), per_chunk):
+            groups = run[lo:lo + per_chunk]
+            words = starts[groups][:, None] + np.arange(k)
+            per_block = max(1, CELL_BLOCK // (len(groups) * n_beta))
+            # (group, alpha, word) and (group, word, beta) tables of (-1)^|s∧z|
+            a_table = _signs(z[words][:, None] & alphas[:, None]) * factors[words][:, None]
+            b_table = _signs(z[words][:, :, None] & betas)[:, None]
+            rb_chunk, chunk_imag = rb[groups].T, imag[groups]
+            for a in range(0, len(alphas), per_block):
+                ra_block = ra[groups, a:a + per_block].T
+                # (state, group) cells of the block, state-major
+                partners = (ra_block[:, None] * n_beta + rb_chunk).reshape(-1, len(groups))
+                hit = ((ra_block[:, None] >= 0) & (rb_chunk >= 0)).reshape(-1, len(groups))
+                grid = np.matmul(a_table[:, a:a + per_block, None], b_table)
+                vals = np.ascontiguousarray(grid.reshape(len(groups), -1).T)
+                if chunk_imag.any():
+                    if np.abs(vals[:, chunk_imag][hit[:, chunk_imag]]).max(initial=0.0) > 1e-10:
+                        raise InputError("Hamiltonian is not real in the occupation basis")
+                    hit[:, chunk_imag] = False
+                pos = slice(a * n_beta, a * n_beta + len(hit))
+                counts = np.count_nonzero(hit, axis=1)
+                # each row's entries are contiguous and in group order
+                cell = np.flatnonzero(hit)
+                first = fill[pos] - (np.cumsum(counts) - counts)
+                at = np.repeat(first, counts) + np.arange(len(cell))
+                indices[at] = partners.ravel()[cell]
+                data[at] = vals.ravel()[cell]
+                fill[pos] += counts
     return data, indices, indptr.astype(index_type)
 
 
@@ -243,34 +235,23 @@ def _lowest_eigenvalue(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
     return energy
 
 
-def ground_state(
-    h: QubitHamiltonian,
-    n_electrons: Optional[int] = None,
-    s_z: Optional[float] = 0.0,
-    method: str = "auto",
-) -> GroundState:
-    """Lowest eigenvalue of the qubit Hamiltonian in an occupation sector.
+def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> GroundState:
+    """Lowest eigenvalue of the qubit Hamiltonian in the (n_electrons, s_z) sector.
 
-    With n_electrons=None the full space is searched (s_z is then ignored).
-    method: "auto" picks dense diagonalization for small blocks and LOBPCG
-    otherwise; "dense"/"sparse" force a route.
+    A sector of at most DENSE_CUTOFF states, or of fewer than 5, is
+    diagonalized densely; a larger one by LOBPCG.
     """
     n = h.n_qubits
     if n > MAX_QUBITS:
         raise InputError(f"{n} qubits exceeds the exact-diagonalization limit {MAX_QUBITS}")
-    if n_electrons is None and n > 14:
-        raise InputError(f"full-space search over {n} qubits is not supported; give a sector")
-    states = _sector_basis(n, n_electrons, None if n_electrons is None else s_z)
-    sector = "full space" if n_electrons is None else f"(n={n_electrons}, s_z={s_z})"
-    if not states.size:
-        raise InputError(f"empty sector {sector} for {n} qubits")
-    csr = _assemble_sector_matrix(h, states)
-    dim = len(states)
-    if method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF) or dim < 5:
+    alphas, betas = _sector_basis(n, n_electrons, s_z)
+    csr = _assemble_sector_matrix(h, alphas, betas)
+    dim = len(alphas) * len(betas)
+    if dim <= DENSE_CUTOFF or dim < 5:
         energy = float(np.linalg.eigvalsh(_dense_matrix(*csr))[0])
     else:
         energy = _lowest_eigenvalue(*csr)
-    return GroundState(energy=energy, n_qubits=n, sector=sector)
+    return GroundState(energy=energy, n_qubits=n, sector=f"(n={n_electrons}, s_z={s_z})")
 
 
 # --- determinant-space FCI oracle -----------------------------------------

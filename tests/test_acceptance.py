@@ -12,6 +12,7 @@ import pytest
 
 from conftest import get_stretched_water, get_system
 
+import qembed.solver
 from qembed.embedding import (
     drop_environment_orbitals,
     run_embedded_scf,
@@ -126,9 +127,9 @@ def test_criterion_3_projector_spectra():
                    f"convergence commutator {comm:.2e} (< 1e-6)")
 
 
-def test_criterion_4_oracle_equivalence():
+def test_criterion_4_oracle_equivalence(monkeypatch):
     """Qubit-route ground states match the determinant oracle; the dense and
-    Lanczos solvers agree."""
+    LOBPCG solvers agree."""
     worst = 0.0
     for name, n_e in (("h2", 2), ("heh+", 2), ("water", 10)):
         system = get_system(name)
@@ -146,13 +147,14 @@ def test_criterion_4_oracle_equivalence():
     mo = mo_transform(problem.h_emb, water.ints.eri, c_red,
                       constant=problem.classical_energy)
     ham6 = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
-    dense = ground_state(ham6, n_electrons=problem.n_act_electrons, s_z=0,
-                         method="dense").energy
-    sparse = ground_state(ham6, n_electrons=problem.n_act_electrons, s_z=0,
-                          method="sparse").energy
+    # each route is forced through the size rule that picks it
+    monkeypatch.setattr(qembed.solver, "DENSE_CUTOFF", 1 << 62)
+    dense = ground_state(ham6, n_electrons=problem.n_act_electrons, s_z=0).energy
+    monkeypatch.setattr(qembed.solver, "DENSE_CUTOFF", 0)
+    sparse = ground_state(ham6, n_electrons=problem.n_act_electrons, s_z=0).energy
     ok = worst < 1e-8 and abs(dense - sparse) < 1e-9
     _report(4, ok, f"worst |JW - determinant FCI| = {worst:.2e} (< 1e-8); "
-                   f"dense vs Lanczos {abs(dense - sparse):.2e} (< 1e-9) "
+                   f"dense vs LOBPCG {abs(dense - sparse):.2e} (< 1e-9) "
                    f"on {ham6.n_qubits} qubits")
 
 

@@ -542,6 +542,20 @@ def test_config_value_is_typed_and_its_flag_wins(tmp_path, water_file, commands,
     assert [type(v) for v in values] == [type(file_value), type(flag_value)]
 
 
+@pytest.mark.parametrize("source", ["file", "flag"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_scan_jobs_below_one_is_a_config_error(tmp_path, water_file, capsys, source, jobs):
+    out = tmp_path / "scan.txt"
+    lines = f"geometry = {water_file}\nactive = 0\natoms = 0,1\ndistances = 1.0,1.1\n"
+    if source == "file":
+        argv = ["scan", "--config", _write_config(tmp_path, lines + f"jobs = {jobs}\n")]
+    else:
+        argv = ["scan", "--config", _write_config(tmp_path, lines), f"--jobs={jobs}"]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error [config] --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_config_value_may_hold_a_hash(tmp_path, water_file, commands):
     # '#' starts a comment only at the start of a line or after whitespace
     geometry = tmp_path / "a#b.xyz"

@@ -29,10 +29,23 @@ from qembed.solver import (
 )
 
 
-def sector_csr(ham, states):
+def grid_states(alphas, betas):
+    """The occupation bitstrings of the sector, in the solver's alpha-major order."""
+    return (alphas[:, None] | betas).ravel()
+
+
+def sector_csr(ham, alphas, betas):
     """The sector matrix as a scipy CSR matrix, built from the arrays the solver returns."""
-    return scipy.sparse.csr_matrix(_assemble_sector_matrix(ham, states),
-                                   shape=(len(states), len(states)))
+    dim = len(alphas) * len(betas)
+    return scipy.sparse.csr_matrix(_assemble_sector_matrix(ham, alphas, betas), shape=(dim, dim))
+
+
+@pytest.fixture
+def force_route(monkeypatch):
+    """force_route("dense") or force_route("sparse") sends every later solve down that route."""
+    def force(route):
+        monkeypatch.setattr(qembed.solver, "DENSE_CUTOFF", {"dense": 1 << 62, "sparse": 0}[route])
+    return force
 
 
 def full_jw(system, constant=None):
@@ -60,10 +73,12 @@ def embedded_jw(system, active, localizer="spade", projector="huzinaga"):
 
 
 def test_single_z_ground_state():
+    # Z is -1 on an occupied qubit: the one-electron state lies at +1, the empty one at -1
     ham = QubitHamiltonian.from_terms(1, [("Z", -1.0)])
-    gs = ground_state(ham)
-    assert gs.energy == pytest.approx(-1.0, abs=1e-12)
-    assert gs.sector == "full space"
+    gs = ground_state(ham, n_electrons=1, s_z=0.5)
+    assert gs.energy == pytest.approx(1.0, abs=1e-12)
+    assert gs.sector == "(n=1, s_z=0.5)"
+    assert ground_state(ham, n_electrons=0, s_z=0).energy == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_h2_ground_state_matches_dense_oracle(h2):
@@ -78,10 +93,12 @@ def test_h2_ground_state_matches_dense_oracle(h2):
 
 
 def test_sector_restriction_consistent_with_full_space(h2):
+    # the (N, S_z) sectors of 2 alpha and 2 beta orbitals tile the 16 states
     ham = full_jw(h2)
-    assert ground_state(ham).energy == pytest.approx(
-        ground_state(ham, n_electrons=2, s_z=0).energy, abs=1e-10
-    )
+    energies = [ground_state(ham, n_electrons=n_a + n_b, s_z=(n_a - n_b) / 2).energy
+                for n_a in range(3) for n_b in range(3)]
+    assert min(energies) == pytest.approx(np.linalg.eigvalsh(dense_matrix(ham).real)[0],
+                                          abs=1e-10)
 
 
 def test_oracle_equivalence_h2(h2):
@@ -240,40 +257,42 @@ def test_variational_ordering(he, h2, lih):
     )
 
 
-def test_dense_and_sparse_paths_agree(water):
+def test_dense_and_sparse_paths_agree(water, force_route):
     ham = full_jw(water)
-    dense = ground_state(ham, n_electrons=10, s_z=0, method="dense")
-    sparse = ground_state(ham, n_electrons=10, s_z=0, method="sparse")
+    force_route("dense")
+    dense = ground_state(ham, n_electrons=10, s_z=0)
+    force_route("sparse")
+    sparse = ground_state(ham, n_electrons=10, s_z=0)
     assert dense.energy == pytest.approx(sparse.energy, abs=1e-9)
 
 
-def test_lanczos_deterministic(water):
+def test_lanczos_deterministic(water, force_route):
+    # the LOBPCG route, from its seeded start
     ham = full_jw(water)
-    runs = [
-        ground_state(ham, n_electrons=10, s_z=0, method="sparse").energy
-        for _ in range(2)
-    ]
+    force_route("sparse")
+    runs = [ground_state(ham, n_electrons=10, s_z=0).energy for _ in range(2)]
     assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("name", ["ch2", "nh"])
-def test_triplet_ground_state_found_at_s_z_0(name, request):
+def test_triplet_ground_state_found_at_s_z_0(name, request, force_route):
     # the lowest state is a triplet, so the sparse S_z = 0 solve must leave
     # the spin-flip-symmetric part of the sector to reach it
     system = request.getfixturevalue(name)
     ham, n_e = full_jw(system), system.mol.n_electrons
-    sparse = ground_state(ham, n_electrons=n_e, s_z=0, method="sparse").energy
-    assert sparse == pytest.approx(
-        ground_state(ham, n_electrons=n_e, s_z=1, method="sparse").energy, abs=1e-9)
-    assert sparse == pytest.approx(
-        ground_state(ham, n_electrons=n_e, s_z=0, method="dense").energy, abs=1e-9)
+    force_route("sparse")
+    sparse = ground_state(ham, n_electrons=n_e, s_z=0).energy
+    assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=1).energy, abs=1e-9)
+    force_route("dense")
+    assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=0).energy, abs=1e-9)
 
 
-def test_eigensolver_iteration_cap_raises(water, monkeypatch):
+def test_eigensolver_iteration_cap_raises(water, monkeypatch, force_route):
     ham = full_jw(water)
     monkeypatch.setattr(qembed.solver, "EIG_MAXITER", 1)
+    force_route("sparse")
     with pytest.raises(ConvergenceError, match="did not converge"):
-        ground_state(ham, n_electrons=10, s_z=0, method="sparse")
+        ground_state(ham, n_electrons=10, s_z=0)
 
 
 @pytest.mark.slow
@@ -287,7 +306,7 @@ def test_methanol_20_qubit_sector(methanol):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # recorded from the ARPACK solve with per-group assembly
+    # frozen from an earlier ARPACK solve of this sector; the LOBPCG route must reproduce it
     assert energy == pytest.approx(-113.5991678215, abs=1e-9)
     # 1.5 times the 365 MB measured, 354 MB of which is the CSR matrix
     assert peak <= 550 * 2**20
@@ -297,20 +316,23 @@ def test_sector_basis_memory():
     # enumerating all 2^24 bitstrings with popcount temporaries peaked at 320 MB
     tracemalloc.start()
     try:
-        states = _sector_basis(24, 12, 0.0)
+        alphas, betas = _sector_basis(24, 12, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(states) == 924**2  # C(12, 6) alpha strings times as many beta strings
-    assert np.all(np.diff(states) > 0)
+    assert len(alphas) == len(betas) == 924  # C(12, 6) strings of each spin
+    assert np.all(np.diff(alphas) > 0) and np.all(np.diff(betas) > 0)
+    assert np.all(alphas & 0xAAAAAA == 0) and np.all(betas & 0x555555 == 0)
+    assert np.all(np.bitwise_count(alphas) == 6) and np.all(np.bitwise_count(betas) == 6)
     assert peak <= 64 * 2**20
 
 
-def test_hamiltonian_without_terms():
-    ham = QubitHamiltonian.from_terms(4, [])
-    states = _sector_basis(4, 2, None)
-    assert sector_csr(ham, states).nnz == 0
-    assert ground_state(ham, n_electrons=2, s_z=None, method="sparse").energy == 0.0
+def test_hamiltonian_without_terms(force_route):
+    # 9 states, enough for the LOBPCG route
+    ham = QubitHamiltonian.from_terms(6, [])
+    assert sector_csr(ham, *_sector_basis(6, 2, 0)).nnz == 0
+    force_route("sparse")
+    assert ground_state(ham, n_electrons=2, s_z=0).energy == 0.0
 
 
 def test_empty_sector_rejected():
@@ -351,8 +373,7 @@ def test_fci_orbital_limit(water):
 
 def test_ground_state_energy_below_diagonal(h2):
     ham = full_jw(h2)
-    states = _sector_basis(4, 2, 0.0)
-    mat = sector_csr(ham, states).toarray()
+    mat = sector_csr(ham, *_sector_basis(4, 2, 0.0)).toarray()
     gs = ground_state(ham, n_electrons=2, s_z=0)
     assert gs.energy <= np.diag(mat).min() + 1e-12
 
@@ -363,8 +384,8 @@ def pauli_sums_and_sectors(draw):
     words = st.text("IXYZ", min_size=n, max_size=n)
     coeffs = st.floats(-1.0, 1.0).map(lambda c: round(c, 3))
     terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=12))
-    n_electrons = draw(st.none() | st.integers(0, n))
-    s_z = draw(st.none() | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    n_electrons = draw(st.integers(0, n))
+    s_z = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
     return QubitHamiltonian.from_terms(n, terms.items()), n_electrons, s_z
 
 
@@ -376,20 +397,22 @@ def test_sector_matrix_is_dense_matrix_restricted(case):
     # reference enumeration: a plain loop over every bitstring
     expected_states = [
         b for b in range(1 << n)
-        if (n_electrons is None or bin(b).count("1") == n_electrons)
-        and (s_z is None
-             or 2 * bin(b & 0x5555).count("1") - bin(b).count("1") == round(2 * s_z))
+        if bin(b).count("1") == n_electrons
+        and 2 * bin(b & 0x5555).count("1") - bin(b).count("1") == round(2 * s_z)
     ]
-    states = _sector_basis(n, n_electrons, s_z)
-    assert states.tolist() == expected_states
     if not expected_states:
+        with pytest.raises(InputError, match="empty sector"):
+            _sector_basis(n, n_electrons, s_z)
         return
+    alphas, betas = _sector_basis(n, n_electrons, s_z)
+    states = grid_states(alphas, betas)
+    assert sorted(states.tolist()) == expected_states
     block = dense_matrix(ham)[np.ix_(states, states)]
     if np.abs(block.imag).max() > 1e-10:
         with pytest.raises(InputError, match="not real"):
-            _assemble_sector_matrix(ham, states)
+            _assemble_sector_matrix(ham, alphas, betas)
     else:
-        arrays = _assemble_sector_matrix(ham, states)
+        arrays = _assemble_sector_matrix(ham, alphas, betas)
         mat = scipy.sparse.csr_matrix(arrays, shape=block.shape).toarray()
         assert np.abs(mat - block.real).max() <= 1e-12
         # the dense route fills its array from the same arrays with one assignment
@@ -404,10 +427,10 @@ def test_sector_matrix_block_seams(name, active, localizer, block, request, monk
     # a prime block splits word-count runs into uneven chunks and the alpha
     # strings into uneven blocks; the CSR arrays must not change by one bit
     ham, n_e = embedded_jw(request.getfixturevalue(name), active, localizer)
-    states = _sector_basis(ham.n_qubits, n_e, 0)
-    whole = _assemble_sector_matrix(ham, states)
+    basis = _sector_basis(ham.n_qubits, n_e, 0)
+    whole = _assemble_sector_matrix(ham, *basis)
     monkeypatch.setattr(qembed.solver, "CELL_BLOCK", block)
-    seamed = _assemble_sector_matrix(ham, states)
+    seamed = _assemble_sector_matrix(ham, *basis)
     for part, seamed_part in zip(whole, seamed, strict=True):   # data, indices, indptr
         assert np.array_equal(part, seamed_part)
 
@@ -415,17 +438,31 @@ def test_sector_matrix_block_seams(name, active, localizer, block, request, monk
 def test_embedded_water_sector_is_dense_matrix_restricted(water):
     ham, n_e = embedded_jw(water, (0, 2))
     assert ham.n_qubits == 12
-    states = _sector_basis(12, n_e, 0)
+    basis = _sector_basis(12, n_e, 0)
+    states = grid_states(*basis)
     block = dense_matrix(ham)[np.ix_(states, states)]
     assert np.abs(block.imag).max() <= 1e-12
-    assert np.abs(sector_csr(ham, states).toarray() - block.real).max() <= 1e-12
+    assert np.abs(sector_csr(ham, *basis).toarray() - block.real).max() <= 1e-12
 
 
 def test_odd_y_word_not_real_in_sector():
-    # XY is Hermitian, but in the N=1 sector its elements are +-i
-    ham = QubitHamiltonian.from_terms(2, [("XY", 1.0)])
+    # XIYI is Hermitian and flips alpha orbitals 0 and 2 into each other, so in
+    # the sector of one alpha electron its elements are +-i
+    ham = QubitHamiltonian.from_terms(4, [("XIYI", 1.0)])
     with pytest.raises(InputError, match="not real"):
-        ground_state(ham, n_electrons=1, s_z=None)
+        ground_state(ham, n_electrons=1, s_z=0.5)
+
+
+def test_cancelling_imaginary_group_is_not_stored():
+    # XIYI and YIXI share the x mask of XIXI; their +-i elements cancel inside
+    # the sector, so a row holds one entry per real group: Z and XIXI
+    ham = QubitHamiltonian.from_terms(4, [("XIYI", 0.5), ("YIXI", 0.5), ("XIXI", 0.3),
+                                          ("ZIII", 1.0)])
+    basis = _sector_basis(4, 1, 0.5)
+    states = grid_states(*basis)
+    mat = sector_csr(ham, *basis)
+    assert mat.nnz == 4
+    assert np.abs(mat.toarray() - dense_matrix(ham)[np.ix_(states, states)].real).max() <= 1e-12
 
 
 def test_oversized_sector_refused(h2, monkeypatch):
@@ -433,3 +470,19 @@ def test_oversized_sector_refused(h2, monkeypatch):
     monkeypatch.setattr(qembed.solver, "MAX_SECTOR_BYTES", 1000)
     with pytest.raises(InputError, match="MB limit"):
         ground_state(ham, n_electrons=2, s_z=0)
+
+
+def test_24_qubit_sector_refused_before_matrix_sized_arrays(monkeypatch):
+    # sector (12, 0) of 24 qubits has 853,776 states; a table over all 2^24
+    # bitstrings alone would take 64 MB
+    words = ["Z" + "I" * 23, "XX" + "I" * 22, "YY" + "I" * 22, "XZX" + "I" * 21]
+    ham = QubitHamiltonian.from_terms(24, [(word, 0.5) for word in words])
+    monkeypatch.setattr(qembed.solver, "MAX_SECTOR_BYTES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="MB limit"):
+            ground_state(ham, n_electrons=12, s_z=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
