@@ -10,7 +10,6 @@ from .basis import BasisSet, build_basis
 from .embedding import (
     EmbeddedProblem,
     drop_environment_orbitals,
-    embedding_potential,
     huzinaga_projector,
     mu_projector,
     run_embedded_scf,
@@ -64,7 +63,6 @@ __all__ = [
     "build_basis",
     "compute_integrals",
     "drop_environment_orbitals",
-    "embedding_potential",
     "fci_oracle",
     "ground_state",
     "huzinaga_projector",

@@ -21,28 +21,13 @@ CARTESIAN_POWERS = {0: [(0, 0, 0)], 1: [(1, 0, 0), (0, 1, 0), (0, 0, 1)]}
 
 
 @dataclass(frozen=True)
-class Shell:
-    """One contracted shell on one center.
-
-    ``coeffs`` are contraction coefficients for unit-normalized primitives;
-    the overall contracted normalization factor is folded in by
-    :func:`build_basis` so every AO has unit self-overlap.
-    """
-
-    atom_index: int
-    l: int
-    center: np.ndarray      # (3,) Bohr
-    exponents: np.ndarray   # (n_prim,)
-    coeffs: np.ndarray      # (n_prim,)
-
-    @property
-    def n_functions(self) -> int:
-        return len(CARTESIAN_POWERS[self.l])
-
-
-@dataclass(frozen=True)
 class BasisFunction:
-    """A single Cartesian AO: fixed (l,m,n) powers over a contracted radial part."""
+    """A single Cartesian AO: fixed (l,m,n) powers over a contracted radial part.
+
+    ``coeffs`` multiply the bare primitives: :func:`build_basis` folds in the
+    primitive norms and the contracted normalization, so every AO has unit
+    self-overlap. The components of one p shell share exponents and coeffs.
+    """
 
     atom_index: int
     center: np.ndarray
@@ -53,7 +38,6 @@ class BasisFunction:
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity: the fields hold arrays
 class BasisSet:
-    shells: tuple[Shell, ...]
     functions: tuple[BasisFunction, ...]
 
     @property
@@ -117,7 +101,6 @@ def build_basis(mol: Molecule) -> BasisSet:
     components of a p shell share one factor, which is exact for l <= 1).
     """
     table = _sto3g_table()
-    shells = []
     functions = []
     for ia, atom in enumerate(mol.atoms):
         if atom.symbol not in table:
@@ -129,8 +112,6 @@ def build_basis(mol: Molecule) -> BasisSet:
             lead = CARTESIAN_POWERS[l][0]
             c = coeffs * np.array([primitive_norm(a, lead) for a in exps])
             c /= np.sqrt(_contracted_self_overlap(exps, c, l))
-            shell = Shell(ia, l, atom.position, exps, c)
-            shells.append(shell)
             for powers in CARTESIAN_POWERS[l]:
                 functions.append(BasisFunction(ia, atom.position, powers, exps, c))
-    return BasisSet(tuple(shells), tuple(functions))
+    return BasisSet(tuple(functions))

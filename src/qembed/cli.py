@@ -31,7 +31,13 @@ from .embedding import (
 )
 from .exceptions import ConvergenceError, InputError, ProjectionError, QembedError
 from .integrals import IntegralSet, compute_integrals
-from .localize import Partition, assign_by_population, population_localize, spade_partition
+from .localize import (
+    Partition,
+    _check_active_atoms,
+    assign_by_population,
+    population_localize,
+    spade_partition,
+)
 from .molecule import BOHR_PER_ANGSTROM, Atom, Molecule, load_xyz, nuclear_repulsion
 from .qubits import QubitHamiltonian, jordan_wigner, mo_transform, second_quantize
 from .scf import SCFResult, run_rhf
@@ -112,7 +118,6 @@ class PipelineResult:
     partition: Partition
     problem: EmbeddedProblem
     scf_emb: SCFResult
-    e_same_level: float
     hamiltonian: QubitHamiltonian
 
 
@@ -134,13 +139,11 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
         partition, integrals, mol,
         projector_kind=config.projector, mu=config.mu,
     )
-    e_same_level = same_level_energy(problem, scf_emb.gamma, integrals)
-
     c_red = _stage("embedding", drop_environment_orbitals, scf_emb, partition.gamma_env, integrals.S)
     mo_emb = mo_transform(problem.h_emb, integrals.eri, c_red,
                           constant=problem.classical_energy)
     h_emb = _stage("qubit_map", jordan_wigner, second_quantize(mo_emb), 2 * mo_emb.n_orbitals)
-    return PipelineResult(mol, integrals, scf, partition, problem, scf_emb, e_same_level, h_emb)
+    return PipelineResult(mol, integrals, scf, partition, problem, scf_emb, h_emb)
 
 
 def _wf_energy(config: RunConfig, result: PipelineResult) -> Optional[float]:
@@ -161,6 +164,7 @@ def cmd_embed(config: RunConfig) -> int:
     h_full = _stage("qubit_map", jordan_wigner, second_quantize(mo_full), 2 * mo_full.n_orbitals)
     e_wf = _wf_energy(config, result)
     partition, problem = result.partition, result.problem
+    e_same_level = _round10(same_level_energy(problem, result.scf_emb.gamma, result.integrals))
     ham_path = config.out.removesuffix(".json") + ".hamiltonian.json"
     report = {
         "molecule": {
@@ -198,7 +202,7 @@ def cmd_embed(config: RunConfig) -> int:
             "e_classical": _round10(problem.classical_energy),
             "embedded_scf_iterations": result.scf_emb.n_iterations,
             "embedded_scf_trace": [_round10(e) for e in result.scf_emb.history],
-            "e_same_level_embedded": _round10(result.e_same_level),
+            "e_same_level_embedded": e_same_level,
         },
         "resources": {
             "n_qubits_full": h_full.n_qubits,
@@ -208,7 +212,7 @@ def cmd_embed(config: RunConfig) -> int:
         },
         "energies": {
             "e_rhf": _round10(result.scf.E_total),
-            "e_same_level_embedded": _round10(result.e_same_level),
+            "e_same_level_embedded": e_same_level,
         },
         "hamiltonian_file": str(ham_path),
     }
@@ -218,14 +222,18 @@ def cmd_embed(config: RunConfig) -> int:
     with open(config.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"report written to {config.out}; hamiltonian to {ham_path}")
+    logging.getLogger(__name__).info("report written to %s; hamiltonian to %s", config.out, ham_path)
     return EXIT_OK
+
+
+def _check_pair(mol: Molecule, i: int, j: int) -> None:
+    if i == j or not (0 <= i < mol.n_atoms and 0 <= j < mol.n_atoms):
+        raise InputError(f"invalid scan atom pair ({i}, {j})")
 
 
 def displace_along_bond(mol: Molecule, i: int, j: int, r_bohr: float) -> Molecule:
     """Move atom j along the i->j axis to distance r; other atoms fixed."""
-    if i == j or not (0 <= i < mol.n_atoms and 0 <= j < mol.n_atoms):
-        raise InputError(f"invalid scan atom pair ({i}, {j})")
+    _check_pair(mol, i, j)
     axis = mol.atoms[j].position - mol.atoms[i].position
     axis = axis / np.linalg.norm(axis)
     atoms = list(mol.atoms)
@@ -237,20 +245,20 @@ def _scan_point(args) -> dict:
     config, base_mol, pair, r_ang = args
     row = {"r_angstrom": r_ang, "r_bohr": r_ang * BOHR_PER_ANGSTROM}
     try:
-        mol = displace_along_bond(base_mol, pair[0], pair[1], row["r_bohr"])
+        mol = _stage("geometry", displace_along_bond, base_mol, pair[0], pair[1], row["r_bohr"])
         result = run_embedding_pipeline(config, mol=mol)
         row["e_rhf"] = _round10(result.scf.E_total)
         row["e_embed"] = _wf_energy(config, result)
         if result.integrals.n_functions <= MAX_FCI_ORBITALS:
-            row["e_fci"] = _round10(fci_oracle(mol, result.integrals, result.scf))
+            row["e_fci"] = _round10(_stage("fci", fci_oracle, mol, result.integrals, result.scf))
             if row["e_embed"] is not None:
                 row["log10_error"] = _round10(
                     float(np.log10(max(abs(row["e_embed"] - row["e_fci"]), 1e-16)))
                 )
         row["status"] = "ok"
-    except (StageError, QembedError) as exc:
-        row["status"] = f"error:{exc.stage}" if isinstance(exc, StageError) else "error"
-        row["message"] = str(getattr(exc, "original", exc))
+    except StageError as exc:
+        row["status"] = f"error:{exc.stage}"
+        row["message"] = str(exc.original)
     return row
 
 
@@ -277,12 +285,15 @@ def _single_threaded_blas_children():
 def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
              jobs: int = 1) -> int:
     config.validate()
-    if len(distances) < 2:
+    grid = sorted(set(round(r, 12) for r in distances))
+    if len(grid) < 2:
         raise InputError("a scan needs at least two distances")
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
     base_mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
-    grid = sorted(set(round(r, 12) for r in distances))
+    # refuse a bad pair or active set before any point runs integrals and SCF
+    _check_pair(base_mol, *atoms)
+    _stage("partition", _check_active_atoms, base_mol.n_atoms, config.active_atoms)
     tasks = [(config, base_mol, atoms, r) for r in grid]
     if jobs > 1:
         # imported here, as a serial scan never uses them
@@ -300,7 +311,9 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
         rows = [_scan_point(t) for t in tasks]
     _write_scan_table(config.out, rows)
     n_err = sum(1 for row in rows if row["status"] != "ok")
-    print(f"scan table written to {config.out} ({len(rows)} points, {n_err} failed)")
+    logging.getLogger(__name__).log(logging.WARNING if n_err else logging.INFO,
+                                    "scan table written to %s (%d points, %d failed)",
+                                    config.out, len(rows), n_err)
     return EXIT_OK
 
 
@@ -400,7 +413,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--solver", choices=_CHOICES["solver"])
         p.add_argument("--charge", type=int)
         p.add_argument("--out", help="output path")
-        p.add_argument("--verbose", type=int, default=0, help="2 logs each SCF iteration")
+        p.add_argument("--verbose", type=int, default=0,
+                       help="1 logs progress, 2 also each SCF iteration")
 
     # no prefixes: a config key must be a whole flag name
     add_common(sub.add_parser("embed", help="single-point embedded calculation", allow_abbrev=False))
@@ -458,7 +472,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        _configure_logging(logging.DEBUG if args.verbose >= 2 else logging.WARNING)
+        _configure_logging(logging.DEBUG if args.verbose >= 2
+                           else logging.INFO if args.verbose == 1 else logging.WARNING)
         config = _run_config(args)
         if args.command == "embed":
             return cmd_embed(config)

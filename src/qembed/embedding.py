@@ -1,7 +1,12 @@
 """Subsystem embedding: projectors, embedded SCF, and energy bookkeeping.
 
 The active occupied orbitals are re-solved self-consistently in the
-mean field of the frozen environment density. Inter-subsystem orthogonality
+mean field of the frozen environment density. For a restricted Hartree-Fock
+environment the embedding potential g[gamma_act + gamma_env] - g[gamma_act]
+is linear in the density, so it is the Coulomb-minus-half-exchange matrix
+J - K/2 of gamma_env alone; that one build also gives the environment's
+energy and its two-electron interaction with the active density.
+Inter-subsystem orthogonality
 is enforced either by a level-shift projector (scaled overlap-projected
 environment density, fixed across iterations) or by the Huzinaga operator
 (anticommutator of the live Fock matrix with the environment density,
@@ -32,12 +37,11 @@ class EmbeddedProblem:
 
     h_emb: np.ndarray          # h_core + v_emb + projector
     projector: np.ndarray      # at convergence, for the Huzinaga route
-    v_emb: np.ndarray
+    v_emb: np.ndarray          # J - K/2 of gamma_env
     gamma_act: np.ndarray
-    gamma_env: np.ndarray
     n_act_electrons: int
     E_env: float               # tr(gamma_env h_core) + g(gamma_env)
-    g_cross: float             # nonadditive two-electron energy
+    g_cross: float             # tr(gamma_act v_emb), nonadditive two-electron energy
     E_correction: float        # tr(gamma_act (v_emb + projector))
     E_nuc: float
     projector_kind: str        # "mu" | "huzinaga"
@@ -46,18 +50,6 @@ class EmbeddedProblem:
     @property
     def classical_energy(self) -> float:
         return self.E_env + self.g_cross - self.E_correction + self.E_nuc
-
-
-def embedding_potential(gamma_act: np.ndarray, gamma_env: np.ndarray,
-                        eri: np.ndarray) -> np.ndarray:
-    """Mean-field potential of the environment felt by the active density.
-
-    Computed as the difference of two-electron builds; by linearity of the
-    restricted HF two-electron matrix this equals the build over the
-    environment density alone (asserted in tests, not assumed here).
-    """
-    total = two_electron_matrix(gamma_act + gamma_env, eri)
-    return total - two_electron_matrix(gamma_act, eri)
 
 
 def mu_projector(gamma_env: np.ndarray, s: np.ndarray, mu: float = DEFAULT_MU) -> np.ndarray:
@@ -112,11 +104,10 @@ def run_embedded_scf(
     gamma_act, gamma_env = partition.gamma_act, partition.gamma_env
     n_act = _electron_count(gamma_act, s)
     e_nuc = nuclear_repulsion(mol)
-    v_emb = embedding_potential(gamma_act, gamma_env, eri)
-    g_env_mat = two_electron_matrix(gamma_env, eri)
+    v_emb = two_electron_matrix(gamma_env, eri)
     e_env = float(np.einsum("pq,pq->", gamma_env, h_core)
-                  + 0.5 * np.einsum("pq,pq->", gamma_env, g_env_mat))
-    g_cross = float(np.einsum("pq,pq->", gamma_act, g_env_mat))
+                  + 0.5 * np.einsum("pq,pq->", gamma_env, v_emb))
+    g_cross = float(np.einsum("pq,pq->", gamma_act, v_emb))
 
     h_bare = h_core + v_emb
     if projector_kind == "mu":
@@ -140,7 +131,6 @@ def run_embedded_scf(
         projector=projector,
         v_emb=v_emb,
         gamma_act=gamma_act,
-        gamma_env=gamma_env,
         n_act_electrons=n_act,
         E_env=e_env,
         g_cross=g_cross,
@@ -153,24 +143,19 @@ def run_embedded_scf(
 
 
 def same_level_energy(problem: EmbeddedProblem, gamma_emb_act: np.ndarray,
-                      integrals: IntegralSet,
-                      first_order_correction: bool = True) -> float:
+                      integrals: IntegralSet) -> float:
     """Total energy with both subsystems at the mean-field level.
 
     The first-order term corrects for the difference between the frozen and
     relaxed active densities; with matching levels of theory this total
-    matches the full-system SCF energy. Disabling it is a diagnostic to show
-    the size of that density relaxation, never something to do in production.
+    matches the full-system SCF energy.
     """
     h_core, eri = integrals.h_core, integrals.eri
     e_act = float(np.einsum("pq,pq->", gamma_emb_act, h_core)
                   + 0.5 * np.einsum("pq,pq->", gamma_emb_act,
                                     two_electron_matrix(gamma_emb_act, eri)))
-    correction = 0.0
-    if first_order_correction:
-        correction = float(np.einsum(
-            "pq,pq->", gamma_emb_act - problem.gamma_act,
-            problem.v_emb + problem.projector))
+    correction = float(np.einsum("pq,pq->", gamma_emb_act - problem.gamma_act,
+                                 problem.v_emb + problem.projector))
     return e_act + problem.E_env + problem.g_cross + correction + problem.E_nuc
 
 
@@ -195,5 +180,4 @@ def drop_environment_orbitals(
             "ambiguous environment orbital removal: smallest selected population "
             f"is {pops[dropped].min():.3f}"
         )
-    keep = sorted(set(range(scf_emb.C.shape[1])) - set(int(i) for i in dropped))
-    return scf_emb.C[:, keep]
+    return scf_emb.C[:, np.sort(order[:-n_env])]

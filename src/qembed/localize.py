@@ -68,12 +68,9 @@ def _check_active_atoms(n_atoms: int, active_atoms) -> tuple[int, ...]:
 
 
 def _fix_signs(c: np.ndarray) -> np.ndarray:
-    c = c.copy()
-    for k in range(c.shape[1]):
-        lead = np.argmax(np.abs(c[:, k]))
-        if c[lead, k] < 0:
-            c[:, k] = -c[:, k]
-    return c
+    """Flip each column so that its largest-magnitude coefficient is positive."""
+    lead = c[np.argmax(np.abs(c), axis=0), np.arange(c.shape[1])]
+    return np.where(lead < 0, -c, c)
 
 
 def _build_partition(c_lmo, active_idx, env_idx, populations, active_aos,
@@ -106,9 +103,7 @@ def spade_partition(scf: SCFResult, s: np.ndarray, basis: BasisSet, active_atoms
     active_aos = active_ao_indices(basis, active_atoms)
     c_occ = scf.C_occ
     n_occ = c_occ.shape[1]
-    s_half = lowdin_half(s)
-    c_bar = s_half @ c_occ
-    block = c_bar[list(active_aos), :]
+    block = (lowdin_half(s) @ c_occ)[list(active_aos), :]
     _, sigma, vt = np.linalg.svd(block, full_matrices=True)
     sigma_full = np.zeros(n_occ)
     sigma_full[: len(sigma)] = sigma
@@ -127,11 +122,10 @@ def spade_partition(scf: SCFResult, s: np.ndarray, basis: BasisSet, active_atoms
                 f"SPADE partition ambiguous: maximal singular-value gap {best:.3e} "
                 "is attained more than once"
             )
-    c_rot = _fix_signs(c_occ @ vt.T)
-    c_bar_rot = s_half @ c_rot
-    populations = np.sum(c_bar_rot[list(active_aos), :] ** 2, axis=0)
+    # the active rows of S^(1/2) c_occ V are U Sigma, so each rotated orbital's
+    # active-atom weight is its squared singular value
     return _build_partition(
-        c_rot, range(n_act), range(n_act, n_occ), populations,
+        _fix_signs(c_occ @ vt.T), range(n_act), range(n_act, n_occ), sigma_full**2,
         active_aos, active_atoms, singular_values=sigma_full,
     )
 

@@ -36,7 +36,6 @@ class SCFResult:
     E_total: float
     E_elec: float
     n_occ: int
-    converged: bool
     n_iterations: int
     history: tuple[float, ...] = ()   # total energy per iteration
 
@@ -157,14 +156,17 @@ def run_rhf(
     else:
         gamma = gamma0
 
+    def fock_and_energy(gamma):
+        fock = fock_build(gamma, h, eri)
+        if f_extra is not None:
+            fock = fock + f_extra(gamma, fock)
+        return fock, electronic_energy(gamma, h, fock)
+
     diis = _Diis()
     energy = 0.0
     history: list[float] = []
     for iteration in range(1, MAX_ITERATIONS + 1):
-        fock = fock_build(gamma, h, eri)
-        if f_extra is not None:
-            fock = fock + f_extra(gamma, fock)
-        e_elec = electronic_energy(gamma, h, fock)
+        fock, e_elec = fock_and_energy(gamma)
         grad = fock @ gamma @ s - s @ gamma @ fock
         grad_norm = np.linalg.norm(x.T @ grad @ x)
         de = e_elec - energy
@@ -177,15 +179,12 @@ def run_rhf(
             # gamma = 2 C_occ C_occ^T holds exactly, not just to SCF tolerance
             c, eps = solve_roothaan(fock, s, x)
             gamma = density_matrix(c[:, :n_occ])
-            fock = fock_build(gamma, h, eri)
-            if f_extra is not None:
-                fock = fock + f_extra(gamma, fock)
-            e_elec = electronic_energy(gamma, h, fock)
+            fock, e_elec = fock_and_energy(gamma)
             history.append(e_elec + e_nuc)
             return SCFResult(
                 C=c, eps=eps, gamma=gamma, fock=fock,
                 E_total=e_elec + e_nuc, E_elec=e_elec,
-                n_occ=n_occ, converged=True, n_iterations=iteration,
+                n_occ=n_occ, n_iterations=iteration,
                 history=tuple(history),
             )
         fock_eff = diis.extrapolate(fock, x.T @ grad @ x)

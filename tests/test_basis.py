@@ -74,7 +74,15 @@ def test_ao_count_geometry_independent(r, theta):
 
 
 def test_shell_structure_water(water):
-    ls = [shell.l for shell in water.basis.shells]
-    assert ls == [0, 0, 1, 0, 0]  # O: 1s, 2s, 2p; H: 1s; H: 1s
+    funcs = water.basis.functions
+    powers = [f.powers for f in funcs]
+    # O: 1s, 2s, 2p_x, 2p_y, 2p_z; one 1s on each H
+    assert powers == [(0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                      (0, 0, 0), (0, 0, 0)]
     atom_of = water.basis.atom_of_function()
     assert list(atom_of) == [0, 0, 0, 0, 0, 1, 2]
+    # 1s and 2s are different contractions; the three 2p components share one
+    assert not np.array_equal(funcs[0].exponents, funcs[1].exponents)
+    for f in funcs[3:5]:
+        np.testing.assert_array_equal(f.exponents, funcs[2].exponents)
+        np.testing.assert_array_equal(f.coeffs, funcs[2].coeffs)

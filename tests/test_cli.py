@@ -404,8 +404,10 @@ def test_scan_single_minimum_h2(tmp_path, h2_file):
 
 def test_scan_requires_two_distances(tmp_path, h2_file):
     config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(tmp_path / "s"))
-    with pytest.raises(InputError, match="two distances"):
-        cmd_scan(config, (0, 1), [1.0])
+    # distances are counted after de-duplication
+    for distances in ([1.0], [0.8, 0.8]):
+        with pytest.raises(InputError, match="two distances"):
+            cmd_scan(config, (0, 1), distances)
 
 
 def test_scan_records_per_point_failures(tmp_path, h2_file):
@@ -420,6 +422,72 @@ def test_scan_records_per_point_failures(tmp_path, h2_file):
     by_r = sorted(lines, key=lambda ln: float(ln.split()[0]))
     assert by_r[0].split()[-1].startswith("error")
     assert by_r[1].split()[-1] == "ok"
+
+
+@pytest.mark.parametrize("key, value, label", [
+    ("atoms", "0,0", "config"), ("atoms", "0,7", "config"),
+    ("active", "0,9", "partition"), ("active", "0,1,2", "partition"),
+])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_scan_refuses_bad_atoms_before_any_point(tmp_path, water_file, monkeypatch, capsys,
+                                                 key, value, label, source):
+    import qembed.cli as cli
+
+    def point_ran(*args, **kwargs):
+        raise AssertionError("a scan point ran")
+
+    monkeypatch.setattr(cli, "compute_integrals", point_ran)
+    out = tmp_path / "scan.txt"
+    settings = {"geometry": water_file, "active": "0,2", "atoms": "0,2",
+                "distances": "0.8,1.0", key: value}
+    if source == "file":
+        text = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        argv = ["scan", "--config", _write_config(tmp_path, text)]
+    else:
+        argv = ["scan", *(f"--{k}={v}" for k, v in settings.items())]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error [{label}] ")
+    assert not out.exists()
+
+
+def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch):
+    import qembed.cli as cli
+
+    def no_convergence(*args):
+        raise ConvergenceError("oracle did not converge")
+
+    monkeypatch.setattr(cli, "fci_oracle", no_convergence)
+    out = tmp_path / "scan.txt"
+    config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(out))
+    assert cmd_scan(config, (0, 1), [0.7, 0.9]) == 0
+    rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [row[-1] for row in rows] == ["error:fci"] * 2
+
+
+def test_progress_goes_to_the_log_not_stdout(tmp_path, h2_file, water_file, capsys):
+    report, table = tmp_path / "r.json", tmp_path / "scan.txt"
+    embed = ["embed", "--geometry", water_file, "--active", "0,1", "--solver", "none",
+             "--out", str(report)]
+    scan = ["scan", "--geometry", h2_file, "--active", "0", "--atoms", "0,1",
+            "--distances", "0.7,0.9", "--out", str(table)]
+    assert main(embed) == 0 and main(scan) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(embed + ["--verbose", "1"]) == 0 and main(scan + ["--verbose", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"report written to {report}; hamiltonian to " in captured.err
+    assert f"scan table written to {table} (2 points, 0 failed)" in captured.err
+    assert "scf iter" not in captured.err
+
+
+def test_scan_with_a_failed_point_warns_without_verbose(tmp_path, h2_file, capsys):
+    out = tmp_path / "scan.txt"
+    # 1e-8 Angstrom puts both nuclei on one point
+    assert main(["scan", "--geometry", h2_file, "--active", "0", "--atoms", "0,1",
+                 "--distances", "0.74,1e-8", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scan table written to {out} (2 points, 1 failed)\n"
 
 
 def test_exit_code_mapping(monkeypatch, tmp_path, water_file):

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qembed.embedding import (
     drop_environment_orbitals,
-    embedding_potential,
     environment_populations,
     huzinaga_projector,
     mu_projector,
@@ -21,32 +22,48 @@ def water_partition(water):
     return spade_partition(water.scf, water.ints.S, water.basis, [0, 1])
 
 
-def test_potential_vanishes_for_empty_environment(water):
-    zero = np.zeros((7, 7))
-    gamma = water.scf.gamma
-    np.testing.assert_allclose(
-        embedding_potential(gamma, zero, water.ints.eri), 0.0, atol=1e-14
-    )
+@pytest.fixture(scope="module")
+def spade_splits(h2, lih, water, ch4):
+    """(system, partition, problem) for every SPADE split of H2, LiH, water and CH4."""
+    splits = []
+    for system in (h2, lih, water, ch4):
+        n_atoms = system.mol.n_atoms
+        for size in range(1, n_atoms):
+            for atoms in itertools.combinations(range(n_atoms), size):
+                part = spade_partition(system.scf, system.ints.S, system.basis, atoms)
+                problem, _ = run_embedded_scf(part, system.ints, system.mol)
+                splits.append((system, part, problem))
+    return splits
 
 
-def test_potential_difference_form_equals_direct(water, water_partition):
-    part = water_partition
-    direct = two_electron_matrix(part.gamma_env, water.ints.eri)
-    diff = embedding_potential(part.gamma_act, part.gamma_env, water.ints.eri)
-    np.testing.assert_allclose(diff, direct, atol=1e-12)
+def test_potential_vanishes_for_empty_environment(h2):
+    # H2 has one occupied orbital, so either atom as active leaves no environment
+    part = spade_partition(h2.scf, h2.ints.S, h2.basis, [1])
+    problem, _ = run_embedded_scf(part, h2.ints, h2.mol)
+    assert part.n_env == 0
+    np.testing.assert_array_equal(problem.v_emb, 0.0)
 
 
-def test_active_environment_interaction_repulsive(water, water_partition):
-    part = water_partition
-    v_emb = embedding_potential(part.gamma_act, part.gamma_env, water.ints.eri)
-    assert np.einsum("pq,pq->", part.gamma_act, v_emb) > 0.0
+def test_potential_difference_form_equals_direct(spade_splits):
+    # the paper's g[gamma_act + gamma_env] - g[gamma_act]; for a mean-field
+    # environment it is the two-electron matrix of gamma_env alone
+    assert len(spade_splits) == 2 + 2 + 6 + 30   # every proper non-empty active set
+    for system, part, problem in spade_splits:
+        eri = system.ints.eri
+        diff = (two_electron_matrix(part.gamma_act + part.gamma_env, eri)
+                - two_electron_matrix(part.gamma_act, eri))
+        np.testing.assert_allclose(problem.v_emb, diff, rtol=0, atol=1e-12)
 
 
-def test_potential_symmetric(water, water_partition):
-    v_emb = embedding_potential(
-        water_partition.gamma_act, water_partition.gamma_env, water.ints.eri
-    )
-    np.testing.assert_allclose(v_emb, v_emb.T, atol=1e-12)
+def test_active_environment_interaction_repulsive(spade_splits):
+    for _, part, problem in spade_splits:
+        if part.n_env:
+            assert np.einsum("pq,pq->", part.gamma_act, problem.v_emb) > 0.0
+
+
+def test_potential_symmetric(spade_splits):
+    for _, _, problem in spade_splits:
+        np.testing.assert_allclose(problem.v_emb, problem.v_emb.T, rtol=0, atol=1e-12)
 
 
 def test_mu_projector_positive_semidefinite(water, water_partition):
@@ -204,13 +221,14 @@ def test_same_level_mu_accuracy_and_monotonicity(water, water_partition):
 def test_first_order_correction_diagnostic(water, water_partition):
     # at finite level shift the relaxed density differs from the frozen one;
     # the first-order term then carries a visible share of the energy and
-    # dropping it (diagnostic only) degrades the agreement with the full SCF
+    # dropping it degrades the agreement with the full SCF
     problem, emb = run_embedded_scf(water_partition, water.ints, water.mol,
                                     projector_kind="mu", mu=1e2)
     e_with = same_level_energy(problem, emb.gamma, water.ints)
-    e_without = same_level_energy(problem, emb.gamma, water.ints,
-                                  first_order_correction=False)
-    assert abs(e_with - e_without) > 1e-4
+    correction = float(np.einsum("pq,pq->", emb.gamma - problem.gamma_act,
+                                 problem.v_emb + problem.projector))
+    e_without = e_with - correction
+    assert abs(correction) > 1e-4
     ref = water.scf.E_total
     assert abs(e_with - ref) < abs(e_without - ref)
 
@@ -270,6 +288,16 @@ def test_drop_environment_counts(water, water_partition):
     problem, emb = run_embedded_scf(water_partition, water.ints, water.mol)
     c_red = drop_environment_orbitals(emb, water_partition.gamma_env, water.ints.S)
     assert c_red.shape == (7, 6)  # one environment orbital removed
+
+
+def test_drop_environment_keeps_the_rest_in_energy_order(water, ch4):
+    for system, active in ((water, [0, 1]), (ch4, [0])):
+        part = spade_partition(system.scf, system.ints.S, system.basis, active)
+        _, emb = run_embedded_scf(part, system.ints, system.mol)
+        pops = environment_populations(emb.C, part.gamma_env, system.ints.S)
+        c_red = drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+        expected = np.delete(emb.C, np.argsort(pops)[-part.n_env:], axis=1)
+        np.testing.assert_array_equal(c_red, expected)
 
 
 def test_drop_environment_noop_without_env(h2):

@@ -324,14 +324,13 @@ def test_hydrogen_atom_core_element():
 
 def test_one_center_ss_eri_closed_form():
     # single normalized s primitive: (ss|ss) = 2 sqrt(alpha/pi)
-    from qembed.basis import BasisFunction, BasisSet, Shell, primitive_norm
+    from qembed.basis import BasisFunction, BasisSet, primitive_norm
 
     alpha = 0.731
     exps = np.array([alpha])
     coeffs = np.array([primitive_norm(alpha, (0, 0, 0))])
-    shell = Shell(0, 0, np.zeros(3), exps, coeffs)
     func = BasisFunction(0, np.zeros(3), (0, 0, 0), exps, coeffs)
-    toy = BasisSet((shell,), (func,))
+    toy = BasisSet((func,))
     value = eri_tensor(toy)[0, 0, 0, 0]
     assert value == pytest.approx(2.0 * math.sqrt(alpha / math.pi), abs=1e-13)
 

@@ -77,6 +77,28 @@ def test_subsystem_idempotency(water):
         np.testing.assert_allclose(half @ half, half, atol=1e-9)
 
 
+def test_fix_signs_matches_column_loop():
+    from qembed.localize import _fix_signs
+
+    c = np.random.default_rng(5).standard_normal((9, 6))
+    c[:, 2] = 0.0   # an all-zero column is left as it is
+    ref = c.copy()
+    for k in range(ref.shape[1]):
+        if ref[np.argmax(np.abs(ref[:, k])), k] < 0:
+            ref[:, k] = -ref[:, k]
+    np.testing.assert_array_equal(_fix_signs(c), ref)
+
+
+def test_spade_populations_are_active_weights_of_rotated_orbitals(water, lih, ch4):
+    # the populations are the squared singular values; check them against the
+    # active rows of the Lowdin-orthogonalized rotated orbitals
+    for system, atoms in ((water, [0, 1]), (water, [0]), (lih, [0]), (ch4, [0])):
+        part = spade_partition(system.scf, system.ints.S, system.basis, atoms)
+        c_bar = lowdin_half(system.ints.S) @ part.C_lmo
+        direct = np.sum(c_bar[list(part.active_aos), :] ** 2, axis=0)
+        np.testing.assert_allclose(part.populations, direct, rtol=0, atol=1e-12)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_spade_invariant_under_occupied_remixing(seed):
@@ -91,7 +113,7 @@ def test_spade_invariant_under_occupied_remixing(seed):
     remixed = SCFResult(
         C=c, eps=water.scf.eps, gamma=water.scf.gamma, fock=water.scf.fock,
         E_total=water.scf.E_total, E_elec=water.scf.E_elec,
-        n_occ=n_occ, converged=True, n_iterations=1,
+        n_occ=n_occ, n_iterations=1,
     )
     ref = spade_partition(water.scf, water.ints.S, water.basis, [0, 1])
     alt = spade_partition(remixed, water.ints.S, water.basis, [0, 1])
@@ -107,7 +129,7 @@ def test_spade_ambiguity_reported():
     c[2, 2] = c[3, 3] = 1.0
     fake = SCFResult(
         C=c, eps=np.zeros(4), gamma=2 * c[:, :2] @ c[:, :2].T, fock=np.eye(4),
-        E_total=0.0, E_elec=0.0, n_occ=2, converged=True, n_iterations=1,
+        E_total=0.0, E_elec=0.0, n_occ=2, n_iterations=1,
     )
 
     class FakeBasis:
