@@ -130,6 +130,8 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
     """
     if mol is None:
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
+    # refuse a bad active set before the integrals and RHF run
+    _stage("partition", _check_active_atoms, mol.n_atoms, config.active_atoms)
     basis = _stage("basis", build_basis, mol)
     integrals = _stage("integrals", compute_integrals, basis, mol)
     scf = _stage("scf", run_rhf, mol, integrals)

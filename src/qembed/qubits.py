@@ -11,7 +11,6 @@ Pauli words, qubit 0 first, are spelled out only for export (`terms`).
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,19 +80,26 @@ def second_quantize(mo: MOIntegrals) -> FermionOperator:
 
     Integrals below PRUNE_THRESHOLD are dropped. The two-electron part uses
     the chemists'-index identity 1/2 (pq|rs) a+_ps a+_rt a_st a_qs summed
-    over spins s, t, without the terms that vanish (i == j or k == l).
+    over spins s, t, without the terms that vanish (i == j or k == l). The
+    row of (pq|rs) with spins (s, t) and the row of (rs|pq) with spins (t, s)
+    are the same product, so one row is emitted per pair pq <= rs (pq = p M + q),
+    with the two coefficients summed.
     """
+    m = mo.n_orbitals
     p, q = np.nonzero(np.abs(mo.h) >= PRUNE_THRESHOLD)
     one_body = (2 * np.stack([p, q], axis=-1)[:, None] + np.arange(2)[:, None]).reshape(-1, 2)
     one_coeffs = np.repeat(mo.h[p, q], 2)
-    half_g = 0.5 * mo.g
-    p, q, r, s = np.nonzero(np.abs(half_g) >= PRUNE_THRESHOLD)
+    half_g = 0.5 * mo.g.reshape(m * m, m * m)
+    half_g[np.abs(half_g) < PRUNE_THRESHOLD] = 0.0
+    pairs = np.triu(half_g) + np.tril(half_g, -1).T
+    pq, rs = np.nonzero(pairs)
+    (p, q), (r, s) = np.divmod(pq, m), np.divmod(rs, m)
     sp, tp = np.divmod(np.arange(4), 2)  # the spins of p and r
     two_body = (2 * np.stack([p, r, s, q], axis=-1)[:, None]
                 + np.stack([sp, tp, tp, sp], axis=-1)).reshape(-1, 4)
     keep = (two_body[:, 0] != two_body[:, 1]) & (two_body[:, 2] != two_body[:, 3])
     return FermionOperator(float(mo.constant), (
-        (one_body, one_coeffs), (two_body[keep], np.repeat(half_g[p, q, r, s], 4)[keep])))
+        (one_body, one_coeffs), (two_body[keep], np.repeat(pairs[pq, rs], 4)[keep])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,36 +126,48 @@ class QubitHamiltonian:
 
     @property
     def terms(self) -> dict[str, float]:
-        """Word -> coefficient, sorted by word; the one place words are built."""
-        words, coeffs = _pauli_words(self.x, self.z, self.n_qubits), self.coeffs.tolist()
-        return {words[i]: coeffs[i] for i in sorted(range(len(words)), key=words.__getitem__)}
+        """Word -> coefficient, sorted by word."""
+        words, coeffs = self._sorted_terms()
+        return dict(zip(words, coeffs))
 
     def term_count(self) -> int:
         return len(self.coeffs)
 
-    def _export(self) -> tuple[float, dict[str, float]]:
+    def _sorted_terms(self) -> tuple[list[str], list[float]]:
+        """Words and coefficients sorted by word; the one place words are built."""
+        words = _word_bytes(self.x, self.z, self.n_qubits)
+        order = np.argsort(words)
+        return _decode(words[order], self.n_qubits), self.coeffs[order].tolist()
+
+    def _export(self) -> tuple[float, list[str], list[float]]:
         """The JSON content: the identity's coefficient as constant, and the other terms."""
-        terms = self.terms
-        return terms.pop("I" * self.n_qubits, 0.0), terms
+        words, coeffs = self._sorted_terms()
+        if words and words[0] == "I" * self.n_qubits:   # the identity sorts first
+            return coeffs[0], words[1:], coeffs[1:]
+        return 0.0, words, coeffs
 
     def to_json_dict(self) -> dict:
-        constant, terms = self._export()
+        constant, words, coeffs = self._export()
         return {"n_qubits": self.n_qubits, "constant": constant,
-                "terms": [{"pauli": word, "coeff": coeff} for word, coeff in terms.items()]}
+                "terms": [{"pauli": word, "coeff": coeff} for word, coeff in zip(words, coeffs)]}
 
     def dump(self, path) -> None:
         """Write to_json_dict() as json.dump(..., indent=1) does, plus a newline.
 
-        The term list is formatted directly, with json's own string and number
-        formatting: json's indenting encoder runs in pure Python, and took as
-        long as the whole full-system Jordan-Wigner map of methanol.
+        The term list is formatted directly, in one % pass, with json's own
+        number formatting (a word is plain ASCII): json's indenting encoder runs
+        in pure Python, and took as long as the whole full-system Jordan-Wigner
+        map of methanol.
         """
-        constant, terms = self._export()
-        # json.dumps of a flat list runs the C encoder; numbers hold no ", "
-        coeffs = json.dumps(list(terms.values()))[1:-1].split(", ")
-        body = ",\n".join(f'  {{\n   "pauli": {encode_basestring_ascii(word)},\n'
-                           f'   "coeff": {coeff}\n  }}' for word, coeff in zip(terms, coeffs))
-        body = f"[\n{body}\n ]" if terms else "[]"
+        constant, words, coeffs = self._export()
+        body = "[]"
+        if words:
+            values = [None] * (2 * len(words))
+            values[::2] = words
+            # json.dumps of a flat list runs the C encoder; numbers hold no ", "
+            values[1::2] = json.dumps(coeffs)[1:-1].split(", ")
+            terms = '  {\n   "pauli": "%s",\n   "coeff": %s\n  },\n' * len(words)
+            body = f"[\n{terms[:-2] % tuple(values)}\n ]"
         with open(path, "w") as fh:
             fh.write(f'{{\n "n_qubits": {json.dumps(self.n_qubits)},\n'
                      f' "constant": {json.dumps(constant)},\n "terms": {body}\n}}\n')
@@ -183,13 +201,26 @@ def pauli_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return ((codes & 1) * bits).sum(axis=1), ((codes >> 1) * bits).sum(axis=1)
 
 
-def _pauli_words(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
-    """Words of (x, z) mask arrays from uint8 letter codes filled one qubit at a time."""
+def _word_bytes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(T,) fixed-width ASCII words of (x, z) mask arrays, qubit 0 first.
+
+    uint8 letter codes are filled one qubit row at a time and read transposed.
+    """
     codes = np.empty((n_qubits, len(x)), dtype=np.uint8)
     for q in range(n_qubits):
         codes[q] = ((x >> q) & 1) + 2 * ((z >> q) & 1)
-    text = _LETTERS[codes].T.tobytes().decode("ascii")
+    return np.ascontiguousarray(_LETTERS[codes].T).view(f"S{n_qubits}").reshape(len(x))
+
+
+def _decode(words: np.ndarray, n_qubits: int) -> list[str]:
+    """The str of each fixed-width word, sliced from one decoded string."""
+    text = words.tobytes().decode("ascii")
     return [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
+
+
+def _pauli_words(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
+    """Words of (x, z) mask arrays in their order, the inverse of pauli_masks."""
+    return _decode(_word_bytes(x, z, n_qubits), n_qubits)
 
 
 def _ladder_products(ops: np.ndarray, coeffs: np.ndarray):
@@ -217,14 +248,17 @@ def _ladder_products(ops: np.ndarray, coeffs: np.ndarray):
 def _merge(xs: list, zs: list, phases: list):
     """Sum lists of (x, z, phase) string arrays into one result sorted by (x, z).
 
-    Each list is emptied as soon as it is joined, so at most five arrays of
-    the joined length are live at once.
+    When the strings span n <= 32 qubits, one stable argsort of the packed key
+    (x << n) | z gives the permutation of np.lexsort((z, x)), so the sums are the
+    same to the bit; wider strings take the lexsort. Each list is emptied as soon
+    as it is joined, so at most five arrays of the joined length are live at once.
     """
     x = np.concatenate(xs)
     xs.clear()
     z = np.concatenate(zs)
     zs.clear()
-    order = np.lexsort((z, x))
+    n = int(np.bitwise_or.reduce(x) | np.bitwise_or.reduce(z)).bit_length()
+    order = np.argsort(x << np.uint64(n) | z, kind="stable") if 2 * n <= 64 else np.lexsort((z, x))
     x = x[order]
     z = z[order]
     phase = np.concatenate(phases)

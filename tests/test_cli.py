@@ -146,7 +146,7 @@ def test_embed_builds_words_only_for_the_dump(tmp_path, water_file, monkeypatch)
     import qembed.qubits
     import qembed.solver
 
-    build, solve = qembed.qubits._pauli_words, qembed.cli.ground_state
+    build, solve = qembed.qubits._word_bytes, qembed.cli.ground_state
     built, solved = [], []
 
     def counted_words(*args):
@@ -157,7 +157,7 @@ def test_embed_builds_words_only_for_the_dump(tmp_path, water_file, monkeypatch)
         solved.append((ham, kwargs, solve(ham, **kwargs)))
         return solved[-1][2]
 
-    monkeypatch.setattr(qembed.qubits, "_pauli_words", counted_words)
+    monkeypatch.setattr(qembed.qubits, "_word_bytes", counted_words)
     monkeypatch.setattr(qembed.cli, "ground_state", recorded_solve)
     config = RunConfig(geometry=water_file, active_atoms=(0, 1), solver="exact",
                        out=str(tmp_path / "report.json"))
@@ -448,6 +448,28 @@ def test_scan_refuses_bad_atoms_before_any_point(tmp_path, water_file, monkeypat
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error [{label}] ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("active", ["0,9", "0,1,2"])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_embed_refuses_bad_active_atoms_before_integrals(tmp_path, water_file, monkeypatch,
+                                                         capsys, active, source):
+    import qembed.cli as cli
+
+    def integrals_ran(*args, **kwargs):
+        raise AssertionError("integrals ran")
+
+    monkeypatch.setattr(cli, "compute_integrals", integrals_ran)
+    out = tmp_path / "report.json"
+    if source == "file":
+        argv = ["embed", "--config",
+                _write_config(tmp_path, f"geometry = {water_file}\nactive = {active}\n")]
+    else:
+        argv = ["embed", "--geometry", water_file, "--active", active]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error [partition] ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "water.xyz"] + (
+        [tmp_path / "run.cfg"] if source == "file" else [])
 
 
 def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch):

@@ -453,3 +453,54 @@ def test_pair_table_cache_follows_the_basis(water):
     for name in ("S", "T", "V", "eri"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
     assert not np.array_equal(cached.S, water.ints.S)
+
+
+# --- contraction order: the per-quartet D_bra @ M @ D_ket^T reference ---------
+
+
+def _hermite_matrix(alpha, pq, n_bra, n_ket, scale):
+    """M itself: _coulomb against an identity ket density is exact (products by 1, sums of 0)."""
+    import qembed.integrals
+
+    return qembed.integrals._coulomb(alpha, pq, n_bra, np.eye(n_ket), scale)
+
+
+def _shell_quartets_reference(bra, ket, s_bra, s_ket):
+    """D_bra @ M @ D_ket^T for every primitive quartet, summed per shell quartet."""
+    n_ket = ket.sizes[s_ket]
+    counts = bra.sizes[s_bra] * n_ket
+    offsets = np.cumsum(counts) - counts
+    q = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(counts.sum()) - offsets[q]
+    rb = bra.starts[s_bra][q] + local // n_ket[q]
+    rk = ket.starts[s_ket][q] + local % n_ket[q]
+    p, pk = bra.p[rb], ket.p[rk]
+    m = _hermite_matrix(p * pk / (p + pk), bra.center[rb] - ket.center[rk],
+                        bra.density.shape[-1], ket.density.shape[-1],
+                        2.0 * np.pi**2.5 / (p * pk * np.sqrt(p + pk)))
+    values = bra.density[rb] @ m @ np.swapaxes(ket.density[rk], -1, -2)
+    return np.add.reduceat(values, offsets, axis=0)
+
+
+@pytest.mark.parametrize("name", ["h2", "water", "ch4", "methanol", "butane"])
+def test_ket_first_contraction_matches_per_quartet_reference(name, monkeypatch):
+    # the ERI sums M @ D_ket^T over the kets of a bra primitive before applying
+    # D_bra, and V sums M @ 1 over the nuclei: the same numbers to round-off
+    import qembed.integrals
+    from conftest import XYZ
+
+    mol = parse_xyz(XYZ[name])
+    basis = build_basis(mol)
+    eri, v = eri_tensor(basis), nuclear_attraction_matrix(basis, mol)
+
+    def rows(cls):
+        pc = cls.center[None] - mol.positions()[:, None]
+        scale = -mol.charges()[:, None] * 2.0 * np.pi / cls.p
+        m = _hermite_matrix(cls.p, pc, cls.density.shape[-1], 1, scale)
+        return (cls.density @ m).sum(axis=0)[..., 0]
+
+    monkeypatch.setattr(qembed.integrals, "_shell_quartets", _shell_quartets_reference)
+    np.testing.assert_allclose(eri, eri_tensor(basis), rtol=0, atol=1e-14)
+    # V entries reach 64 Ha, where one unit in the last place is 1.4e-14
+    np.testing.assert_allclose(v, qembed.integrals._one_electron(basis, rows),
+                               rtol=1e-15, atol=1e-14)

@@ -274,6 +274,91 @@ def test_jw_merge_seams(water, monkeypatch):
     assert max(abs(small[w] - default[w]) for w in default) <= 1e-12
 
 
+def _lexsort_calls(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+def _merge_reference(x, z, phase):
+    order = np.lexsort((z, x))
+    x, z, phase = x[order], z[order], phase[order]
+    starts = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (z[1:] != z[:-1])])
+    return x[starts], z[starts], np.add.reduceat(phase, starts)
+
+
+@pytest.mark.parametrize("top_bit", [31, 32])
+def test_merge_packed_key_and_lexsort_agree_bitwise(monkeypatch, top_bit):
+    # strings of up to 32 qubits take the packed key, wider ones the lexsort;
+    # both sum equal strings in the same order, so the results are identical.
+    # About 20 copies of each string make that order matter to the last bit
+    rng = np.random.default_rng(top_bit)
+    x, z = rng.integers(0, 1 << 4, size=(2, 5000)).astype(np.uint64)
+    x[::7] |= np.uint64(1) << np.uint64(top_bit)
+    phase = rng.standard_normal(5000)
+    expected = _merge_reference(x, z, phase)
+    calls = _lexsort_calls(monkeypatch)
+    packed = qembed.qubits._merge(np.split(x, [999]), np.split(z, [999]), np.split(phase, [999]))
+    assert calls == ([] if top_bit < 32 else [2])
+    # the same strings beside one 64-qubit sentinel, which must sort last
+    sentinel = np.uint64(1) << np.uint64(63)
+    wide = qembed.qubits._merge([x, np.array([sentinel])], [z, np.zeros(1, dtype=np.uint64)],
+                                [phase, np.zeros(1)])
+    assert calls[-1] == 2 and wide[0][-1] == sentinel
+    for got, narrow, want in zip(packed, (a[:-1] for a in wide), expected):
+        assert got.tobytes() == narrow.tobytes() == want.tobytes()
+
+
+def _all_images(mo):
+    """Two-body rows of every (pq|rs) and its (rs|pq) image, each on its own row."""
+    half_g = 0.5 * mo.g
+    p, q, r, s = np.nonzero(np.abs(half_g) >= qembed.qubits.PRUNE_THRESHOLD)
+    sp, tp = np.divmod(np.arange(4), 2)
+    rows = (2 * np.stack([p, r, s, q], axis=-1)[:, None]
+            + np.stack([sp, tp, tp, sp], axis=-1)).reshape(-1, 4)
+    keep = (rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])
+    return rows[keep], np.repeat(half_g[p, q, r, s], 4)[keep]
+
+
+@pytest.mark.parametrize("name", ["water", "methanol"])
+def test_second_quantize_one_row_per_image_pair(request, name):
+    system = request.getfixturevalue(name)
+    mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C,
+                      constant=nuclear_repulsion(system.mol))
+    ops = second_quantize(mo)
+    images = _all_images(mo)
+    # an image pair (pq|rs), (rs|pq) with pq != rs is one row instead of two
+    orbitals = images[0] // 2
+    diagonal = np.count_nonzero((orbitals[:, 0] == orbitals[:, 1]) & (orbitals[:, 2] == orbitals[:, 3]))
+    assert 2 * len(ops.products[1][1]) == len(images[1]) + diagonal
+    n = 2 * mo.n_orbitals
+    halved = jordan_wigner(ops, n).terms
+    every = jordan_wigner(FermionOperator(ops.constant, (ops.products[0], images)), n).terms
+    assert halved.keys() == every.keys()
+    assert max(abs(halved[w] - every[w]) for w in every) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_second_quantize_sums_unequal_images(seed):
+    # (pq|rs) and (rs|pq) are one product, so their sum is what the operator
+    # holds even when g lacks that symmetry; Hermitian g still maps exactly
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((2, 2))
+    g = rng.standard_normal((2, 2, 2, 2))
+    hermitian = MOIntegrals(h=h + h.T, g=g + g.transpose(1, 0, 3, 2), constant=0.3)
+    mat = dense_matrix(jordan_wigner(second_quantize(hermitian), 4))
+    np.testing.assert_allclose(mat.real, fermionic_dense(hermitian), atol=1e-10)
+    np.testing.assert_allclose(mat.imag, 0.0, atol=1e-10)
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        jordan_wigner(second_quantize(MOIntegrals(h=h + h.T, g=g)), 4)
+
+
 def test_h2_term_count_is_fifteen(h2):
     mo = mo_transform(h2.ints.h_core, h2.ints.eri, h2.scf.C,
                       constant=nuclear_repulsion(h2.mol))
@@ -292,7 +377,8 @@ def test_h2_fermionic_term_count_matches_enumeration(h2):
         for q in range(2):
             for r in range(2):
                 for s_ in range(2):
-                    if abs(mo.g[p, q, r, s_]) < 1e-12:
+                    # one row per {(pq|rs), (rs|pq)} pair: pq <= rs
+                    if abs(mo.g[p, q, r, s_]) < 1e-12 or 2 * p + q > 2 * r + s_:
                         continue
                     for sp in range(2):
                         for tp in range(2):
