@@ -38,7 +38,7 @@ from .localize import (
     population_localize,
     spade_partition,
 )
-from .molecule import BOHR_PER_ANGSTROM, Atom, Molecule, load_xyz, nuclear_repulsion
+from .molecule import BOHR_PER_ANGSTROM, Atom, Molecule, load_xyz
 from .qubits import QubitHamiltonian, jordan_wigner, mo_transform, second_quantize
 from .scf import SCFResult, run_rhf
 from .solver import MAX_FCI_ORBITALS, fci_oracle, ground_state
@@ -119,14 +119,14 @@ class PipelineResult:
     problem: EmbeddedProblem
     scf_emb: SCFResult
     hamiltonian: QubitHamiltonian
+    e_wf: Optional[float]  # rounded exact ground-state energy; None for --solver none
 
 
 def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) -> PipelineResult:
-    """Execute geometry -> SCF -> partition -> embedding -> embedded qubit map.
+    """Execute geometry -> SCF -> partition -> embedding -> embedded qubit map -> sector solve.
 
-    mol, when given, replaces the geometry file. The sector solve is left to the
-    caller (`_wf_energy`), so `qembed embed` can refuse an oversized full-system map
-    before it runs. A failure is raised as a StageError naming its stage.
+    mol, when given, replaces the geometry file. A failure is raised as a
+    StageError naming its stage.
     """
     if mol is None:
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
@@ -145,26 +145,17 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
     mo_emb = mo_transform(problem.h_emb, integrals.eri, c_red,
                           constant=problem.classical_energy)
     h_emb = _stage("qubit_map", jordan_wigner, second_quantize(mo_emb), 2 * mo_emb.n_orbitals)
-    return PipelineResult(mol, integrals, scf, partition, problem, scf_emb, h_emb)
-
-
-def _wf_energy(config: RunConfig, result: PipelineResult) -> Optional[float]:
-    """Rounded exact ground-state energy of the embedded Hamiltonian; None for --solver none."""
-    if config.solver == "none":
-        return None
-    gs = _stage("solver", ground_state, result.hamiltonian,
-                n_electrons=result.problem.n_act_electrons, s_z=0.0)
-    return _round10(gs.energy)
+    e_wf = None
+    if config.solver == "exact":
+        gs = _stage("solver", ground_state, h_emb,
+                    n_electrons=problem.n_act_electrons, s_z=0.0)
+        e_wf = _round10(gs.energy)
+    return PipelineResult(mol, integrals, scf, partition, problem, scf_emb, h_emb, e_wf)
 
 
 def cmd_embed(config: RunConfig) -> int:
     config.validate()
     result = run_embedding_pipeline(config)
-    # the full-system map is built for its size only: n_qubits_full and terms_full
-    mo_full = mo_transform(result.integrals.h_core, result.integrals.eri, result.scf.C,
-                           constant=nuclear_repulsion(result.mol))
-    h_full = _stage("qubit_map", jordan_wigner, second_quantize(mo_full), 2 * mo_full.n_orbitals)
-    e_wf = _wf_energy(config, result)
     partition, problem = result.partition, result.problem
     e_same_level = _round10(same_level_energy(problem, result.scf_emb.gamma, result.integrals))
     ham_path = config.out.removesuffix(".json") + ".hamiltonian.json"
@@ -173,7 +164,7 @@ def cmd_embed(config: RunConfig) -> int:
             "n_atoms": result.mol.n_atoms,
             "n_electrons": result.mol.n_electrons,
             "n_ao": result.integrals.n_functions,
-            "e_nuc": _round10(nuclear_repulsion(result.mol)),
+            "e_nuc": _round10(problem.E_nuc),
         },
         "scf": {
             "e_rhf_total": _round10(result.scf.E_total),
@@ -207,9 +198,9 @@ def cmd_embed(config: RunConfig) -> int:
             "e_same_level_embedded": e_same_level,
         },
         "resources": {
-            "n_qubits_full": h_full.n_qubits,
+            "n_qubits_full": 2 * result.integrals.n_functions,
             "n_qubits_embedded": result.hamiltonian.n_qubits,
-            "terms_full": h_full.term_count(),
+            "terms_full": None,
             "terms_embedded": result.hamiltonian.term_count(),
         },
         "energies": {
@@ -218,8 +209,8 @@ def cmd_embed(config: RunConfig) -> int:
         },
         "hamiltonian_file": str(ham_path),
     }
-    if e_wf is not None:
-        report["energies"]["e_wf_in_lowlevel"] = e_wf
+    if result.e_wf is not None:
+        report["energies"]["e_wf_in_lowlevel"] = result.e_wf
     result.hamiltonian.dump(ham_path)
     with open(config.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -250,7 +241,7 @@ def _scan_point(args) -> dict:
         mol = _stage("geometry", displace_along_bond, base_mol, pair[0], pair[1], row["r_bohr"])
         result = run_embedding_pipeline(config, mol=mol)
         row["e_rhf"] = _round10(result.scf.E_total)
-        row["e_embed"] = _wf_energy(config, result)
+        row["e_embed"] = result.e_wf
         if result.integrals.n_functions <= MAX_FCI_ORBITALS:
             row["e_fci"] = _round10(_stage("fci", fci_oracle, mol, result.integrals, result.scf))
             if row["e_embed"] is not None:
@@ -290,6 +281,8 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     grid = sorted(set(round(r, 12) for r in distances))
     if len(grid) < 2:
         raise InputError("a scan needs at least two distances")
+    if grid[0] <= 0:
+        raise InputError(f"scan distances must be positive, got {grid[0]:g}")
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
     base_mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)

@@ -35,6 +35,8 @@ from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
+# a sector matrix needs 12 bytes per entry and 320 per state (see _assemble_sector_matrix),
+# so one under this limit has fewer than 1.8e8 entries and its CSR indices fit int32
 MAX_SECTOR_BYTES = 2 * 2**30
 CELL_BLOCK = 1 << 16  # (state, group) cells per sector-matrix block
 DENSE_CUTOFF = 600
@@ -152,8 +154,7 @@ def _assemble_sector_matrix(
         )
     indptr = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(per_row, out=indptr[1:])
-    index_type = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(nnz, dtype=index_type)
+    indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
     fill = indptr[:-1].copy()
 
@@ -188,7 +189,7 @@ def _assemble_sector_matrix(
                 indices[at] = partners.ravel()[cell]
                 data[at] = vals.ravel()[cell]
                 fill[pos] += counts
-    return data, indices, indptr.astype(index_type)
+    return data, indices, indptr.astype(np.int32)
 
 
 def _dense_matrix(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -70,6 +70,26 @@ XYZ = {
         "H 3.7477 1.5127 0.8900\n"
         "H 3.7477 1.5127 -0.8900"
     ),
+    "pentane": (  # the butane zigzag one carbon longer, K = 37: carbons, then each C's hydrogens
+        "17\npentane\n"
+        "C 0.0000 0.0000 0.0000\n"
+        "C 1.2492 0.8833 0.0000\n"
+        "C 2.4985 0.0000 0.0000\n"
+        "C 3.7477 0.8833 0.0000\n"
+        "C 4.9969 0.0000 0.0000\n"
+        "H -0.8900 0.6293 0.0000\n"
+        "H 0.0000 -0.6293 0.8900\n"
+        "H 0.0000 -0.6293 -0.8900\n"
+        "H 1.2492 1.5127 0.8900\n"
+        "H 1.2492 1.5127 -0.8900\n"
+        "H 2.4985 -0.6293 0.8900\n"
+        "H 2.4985 -0.6293 -0.8900\n"
+        "H 3.7477 1.5127 0.8900\n"
+        "H 3.7477 1.5127 -0.8900\n"
+        "H 5.8869 0.6293 0.0000\n"
+        "H 4.9969 -0.6293 0.8900\n"
+        "H 4.9969 -0.6293 -0.8900"
+    ),
 }
 CHARGES = {"heh+": 1}
 

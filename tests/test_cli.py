@@ -129,7 +129,9 @@ def test_embed_water_report(tmp_path, water_file):
     assert report["resources"]["n_qubits_embedded"] == 12
     assert report["partition"]["n_active_mos"] == 4
     assert report["partition"]["n_env_mos"] == 1
-    assert report["resources"]["terms_embedded"] < report["resources"]["terms_full"]
+    # only the embedded Hamiltonian is mapped; the full count comes from K
+    assert report["resources"]["terms_full"] is None
+    assert report["resources"]["n_qubits_full"] == 2 * report["molecule"]["n_ao"]
     # same-level check sits on top of the full mean-field energy
     assert report["embedding"]["e_same_level_embedded"] == pytest.approx(
         report["scf"]["e_rhf_total"], abs=1e-8
@@ -427,6 +429,7 @@ def test_scan_records_per_point_failures(tmp_path, h2_file):
 @pytest.mark.parametrize("key, value, label", [
     ("atoms", "0,0", "config"), ("atoms", "0,7", "config"),
     ("active", "0,9", "partition"), ("active", "0,1,2", "partition"),
+    ("distances", "-0.9,0.9", "config"), ("distances", "0,0.9", "config"),
 ])
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_scan_refuses_bad_atoms_before_any_point(tmp_path, water_file, monkeypatch, capsys,
@@ -574,33 +577,43 @@ def test_scan_point_builds_one_qubit_map(tmp_path, h2_file, monkeypatch):
     config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(tmp_path / "scan.txt"))
     assert cmd_scan(config, (0, 1), [0.6, 0.9, 1.2]) == 0
     assert len(calls) == 3
+    # embed runs the same pipeline as a scan point: one map, the embedded one
+    calls.clear()
+    assert cmd_embed(RunConfig(geometry=h2_file, active_atoms=(0,),
+                               out=str(tmp_path / "r.json"))) == 0
+    assert len(calls) == 1
 
 
-def test_scan_is_not_bound_by_the_full_map_limit(tmp_path, water_file, monkeypatch):
+@pytest.mark.parametrize("command", ["embed", "scan"])
+def test_scan_is_not_bound_by_the_full_map_limit(tmp_path, water_file, monkeypatch, command):
     # active O and H2 map to 12 qubits; the whole molecule would need 14
     import qembed.qubits
 
     monkeypatch.setattr(qembed.qubits, "MAX_JW_QUBITS", 12)
-    out = tmp_path / "scan.txt"
+    out = tmp_path / "out"
     config = RunConfig(geometry=water_file, active_atoms=(0, 2), out=str(out))
+    if command == "embed":
+        assert cmd_embed(config) == 0
+        assert json.loads(out.read_text())["resources"]["n_qubits_embedded"] == 12
+        return
     assert cmd_scan(config, (0, 2), [0.9, 1.0, 1.1]) == 0
     rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert [row[-1] for row in rows] == ["ok"] * 3
 
 
-def test_embed_refuses_the_full_map_before_solving(tmp_path, water_file, monkeypatch, capsys):
-    import qembed.cli as cli
-    import qembed.qubits
+def test_embed_maps_a_molecule_over_32_aos(tmp_path):
+    # n-pentane, K = 37: its full map would need 74 qubits, over the 64 of a mask
+    from conftest import XYZ
 
-    def never(*args, **kwargs):
-        pytest.fail("the sector solve ran before the full-map refusal")
-
-    monkeypatch.setattr(qembed.qubits, "MAX_JW_QUBITS", 12)
-    monkeypatch.setattr(cli, "ground_state", never)
-    code = main(["embed", "--geometry", water_file, "--active", "0,2",
-                 "--out", str(tmp_path / "r.json")])
-    assert code == EXIT_CONFIG
-    assert "[qubit_map]" in capsys.readouterr().err
+    geometry, out = tmp_path / "pentane.xyz", tmp_path / "r.json"
+    geometry.write_text(XYZ["pentane"])
+    assert main(["embed", "--geometry", str(geometry), "--active", "0,5,6,7",
+                 "--solver", "none", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["resources"]["n_qubits_full"] == 74
+    assert report["resources"]["n_qubits_embedded"] == 42
+    energies = report["energies"]
+    assert abs(energies["e_same_level_embedded"] - energies["e_rhf"]) <= 1e-8
 
 
 def _write_config(tmp_path, text):
