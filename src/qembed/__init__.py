@@ -39,7 +39,7 @@ from .qubits import (
     second_quantize,
 )
 from .scf import SCFResult, run_rhf
-from .solver import GroundState, fci_oracle, ground_state
+from .solver import fci_oracle, ground_state
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "ConvergenceError",
     "EmbeddedProblem",
     "FermionOperator",
-    "GroundState",
     "InputError",
     "IntegralSet",
     "MOIntegrals",

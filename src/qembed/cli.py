@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -47,6 +48,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_PROJECTION = 4
+# distances one scan may hold: at about 25 ms a water point, already minutes of work
+MAX_SCAN_POINTS = 10_000
 # thread counts that OpenBLAS, MKL and OpenMP read once, when the library loads
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 # allowed values of the RunConfig fields that take a name; the parser offers the same
@@ -77,8 +80,8 @@ class RunConfig:
             raise InputError("active atom list is empty")
         if not (0.0 < self.threshold <= 1.0):
             raise InputError(f"threshold {self.threshold} outside (0, 1]")
-        if self.mu <= 0:
-            raise InputError(f"mu must be positive, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise InputError(f"mu must be positive and finite, got {self.mu}")
 
 
 class StageError(Exception):
@@ -147,9 +150,8 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
     h_emb = _stage("qubit_map", jordan_wigner, second_quantize(mo_emb), 2 * mo_emb.n_orbitals)
     e_wf = None
     if config.solver == "exact":
-        gs = _stage("solver", ground_state, h_emb,
-                    n_electrons=problem.n_act_electrons, s_z=0.0)
-        e_wf = _round10(gs.energy)
+        e_wf = _round10(_stage("solver", ground_state, h_emb,
+                               n_electrons=problem.n_act_electrons, s_z=0.0))
     return PipelineResult(mol, integrals, scf, partition, problem, scf_emb, h_emb, e_wf)
 
 
@@ -185,8 +187,8 @@ def cmd_embed(config: RunConfig) -> int:
             ),
         },
         "embedding": {
-            "projector": problem.projector_kind,
-            "mu": problem.mu_value if problem.projector_kind == "mu" else None,
+            "projector": config.projector,
+            "mu": config.mu if config.projector == "mu" else None,
             "n_active_electrons": problem.n_act_electrons,
             "e_env": _round10(problem.E_env),
             "g_cross": _round10(problem.g_cross),
@@ -278,9 +280,14 @@ def _single_threaded_blas_children():
 def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
              jobs: int = 1) -> int:
     config.validate()
+    for r in distances:
+        if not math.isfinite(r):
+            raise InputError(f"scan distances must be finite, got {r:g}")
     grid = sorted(set(round(r, 12) for r in distances))
     if len(grid) < 2:
         raise InputError("a scan needs at least two distances")
+    if len(grid) > MAX_SCAN_POINTS:
+        raise InputError(f"a scan holds at most {MAX_SCAN_POINTS} distances, got {len(grid)}")
     if grid[0] <= 0:
         raise InputError(f"scan distances must be positive, got {grid[0]:g}")
     if jobs < 1:
@@ -290,7 +297,9 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     _check_pair(base_mol, *atoms)
     _stage("partition", _check_active_atoms, base_mol.n_atoms, config.active_atoms)
     tasks = [(config, base_mol, atoms, r) for r in grid]
-    if jobs > 1:
+    # a worker beyond the points or the usable CPUs adds only memory and contention
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
         # imported here, as a serial scan never uses them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -300,7 +309,7 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
         spawn = multiprocessing.get_context("spawn")
         level = logging.getLogger("qembed").getEffectiveLevel()
         with _single_threaded_blas_children(), ProcessPoolExecutor(
-                jobs, mp_context=spawn, initializer=_configure_logging, initargs=(level,)) as pool:
+                workers, mp_context=spawn, initializer=_configure_logging, initargs=(level,)) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]
@@ -310,6 +319,13 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
                                     "scan table written to %s (%d points, %d failed)",
                                     config.out, len(rows), n_err)
     return EXIT_OK
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _write_scan_table(path: str, rows: list[dict]) -> None:
@@ -325,19 +341,26 @@ def _write_scan_table(path: str, rows: list[dict]) -> None:
 
 def parse_distances(spec: str) -> list[float]:
     """Accept 'start:stop:step' ranges or comma-separated lists (Angstrom)."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InputError(f"distance range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise InputError(f"bad distance range {spec!r}")
-        n = int(round((stop - start) / step)) + 1
-        return [start + k * step for k in range(n) if start + k * step <= stop + 1e-9]
+    is_range = ":" in spec
     try:
-        return [float(p) for p in spec.split(",") if p.strip()]
+        values = [float(p) for p in spec.split(":" if is_range else ",") if p.strip()]
     except ValueError:
         raise InputError(f"could not parse distances {spec!r}") from None
+    if not is_range:
+        return values
+    if len(values) != 3:
+        raise InputError(f"distance range must be start:stop:step, got {spec!r}")
+    start, stop, step = values
+    # the step may not fall below the 1e-12 Angstrom that cmd_scan rounds to
+    if not (math.isfinite(start) and math.isfinite(stop) and 1e-12 <= step < math.inf
+            and start <= stop):
+        raise InputError(f"bad distance range {spec!r}: start <= stop, both finite, "
+                         "and a finite step of at least 1e-12")
+    span = (stop - start) / step
+    if not span < MAX_SCAN_POINTS:   # counted before any list is built
+        raise InputError(f"distance range {spec!r} holds more than {MAX_SCAN_POINTS} points")
+    n = int(round(span)) + 1
+    return [start + k * step for k in range(n) if start + k * step <= stop + 1e-9]
 
 
 def _parse_index_list(spec: str) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ProjectionError
+from .exceptions import InputError, ProjectionError
 from .integrals import IntegralSet
 from .localize import Partition
 from .molecule import Molecule, nuclear_repulsion
@@ -44,8 +44,6 @@ class EmbeddedProblem:
     g_cross: float             # tr(gamma_act v_emb), nonadditive two-electron energy
     E_correction: float        # tr(gamma_act (v_emb + projector))
     E_nuc: float
-    projector_kind: str        # "mu" | "huzinaga"
-    mu_value: float
 
     @property
     def classical_energy(self) -> float:
@@ -99,7 +97,7 @@ def run_embedded_scf(
     (for the level-shift route it is constant anyway).
     """
     if projector_kind not in ("huzinaga", "mu"):
-        raise ValueError(f"unknown projector kind {projector_kind!r}")
+        raise InputError(f"unknown projector kind {projector_kind!r}")
     s, eri, h_core = integrals.S, integrals.eri, integrals.h_core
     gamma_act, gamma_env = partition.gamma_act, partition.gamma_env
     n_act = _electron_count(gamma_act, s)
@@ -136,8 +134,6 @@ def run_embedded_scf(
         g_cross=g_cross,
         E_correction=float(np.einsum("pq,pq->", gamma_act, v_emb + projector)),
         E_nuc=e_nuc,
-        projector_kind=projector_kind,
-        mu_value=mu,
     )
     return problem, scf_emb
 

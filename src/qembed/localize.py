@@ -27,22 +27,14 @@ class Partition:
     """Occupied-space split into active and environment orbital sets."""
 
     C_lmo: np.ndarray            # (K, n_occ) localized/rotated occupied coefficients
-    active_idx: tuple[int, ...]
-    env_idx: tuple[int, ...]
+    n_active: int                # orbitals in gamma_act
+    n_env: int                   # orbitals in gamma_env
     gamma_act: np.ndarray
     gamma_env: np.ndarray
     active_aos: tuple[int, ...]
     active_atoms: tuple[int, ...]
     populations: np.ndarray      # per-LMO fraction of Lowdin population on active atoms
     singular_values: np.ndarray = field(default=None)  # SPADE route only
-
-    @property
-    def n_active(self) -> int:
-        return len(self.active_idx)
-
-    @property
-    def n_env(self) -> int:
-        return len(self.env_idx)
 
 
 def lowdin_half(s: np.ndarray) -> np.ndarray:
@@ -75,14 +67,12 @@ def _fix_signs(c: np.ndarray) -> np.ndarray:
 
 def _build_partition(c_lmo, active_idx, env_idx, populations, active_aos,
                      active_atoms, singular_values=None) -> Partition:
-    active_idx = tuple(int(i) for i in active_idx)
-    env_idx = tuple(int(i) for i in env_idx)
     return Partition(
         C_lmo=c_lmo,
-        active_idx=active_idx,
-        env_idx=env_idx,
-        gamma_act=density_matrix(c_lmo[:, list(active_idx)]),
-        gamma_env=density_matrix(c_lmo[:, list(env_idx)]),
+        n_active=len(active_idx),
+        n_env=len(env_idx),
+        gamma_act=density_matrix(c_lmo[:, active_idx]),
+        gamma_env=density_matrix(c_lmo[:, env_idx]),
         active_aos=active_aos,
         active_atoms=active_atoms,
         populations=populations,

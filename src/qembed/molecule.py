@@ -103,6 +103,8 @@ def parse_xyz(text: str, charge: int = 0) -> Molecule:
             xyz = np.array([float(p) for p in parts[1:]])
         except ValueError:
             raise InputError(f"non-numeric coordinate in line: {ln!r}") from None
+        if not np.all(np.isfinite(xyz)):
+            raise InputError(f"non-finite coordinate in line: {ln!r}")
         atoms.append(Atom(sym, ELEMENT_NUMBERS[sym], xyz * BOHR_PER_ANGSTROM))
     return Molecule(tuple(atoms), charge=charge)
 

@@ -218,11 +218,6 @@ def _decode(words: np.ndarray, n_qubits: int) -> list[str]:
     return [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
 
 
-def _pauli_words(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
-    """Words of (x, z) mask arrays in their order, the inverse of pauli_masks."""
-    return _decode(_word_bytes(x, z, n_qubits), n_qubits)
-
-
 def _ladder_products(ops: np.ndarray, coeffs: np.ndarray):
     """JW images of coeff * a+_i ... a_l for every row of ops, as (x, z, phase).
 

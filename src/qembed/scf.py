@@ -34,7 +34,6 @@ class SCFResult:
     gamma: np.ndarray      # (K, K) density, trace against S = n_electrons
     fock: np.ndarray       # (K, K) converged Fock matrix (including any hooks)
     E_total: float
-    E_elec: float
     n_occ: int
     n_iterations: int
     history: tuple[float, ...] = ()   # total energy per iteration
@@ -89,15 +88,14 @@ def solve_roothaan(fock: np.ndarray, s: np.ndarray, x: Optional[np.ndarray] = No
 class _Diis:
     """Pulay extrapolation over orthogonalized gradient residuals."""
 
-    def __init__(self, size: int = DIIS_SIZE):
-        self.size = size
+    def __init__(self):
         self.focks: list[np.ndarray] = []
         self.errors: list[np.ndarray] = []
 
     def extrapolate(self, fock: np.ndarray, error: np.ndarray) -> np.ndarray:
         self.focks.append(fock)
         self.errors.append(error)
-        if len(self.focks) > self.size:
+        if len(self.focks) > DIIS_SIZE:
             self.focks.pop(0)
             self.errors.pop(0)
         while len(self.focks) > 1:
@@ -130,7 +128,6 @@ def run_rhf(
     n_electrons_override: Optional[int] = None,
     f_extra: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     gamma0: Optional[np.ndarray] = None,
-    level_shift: float = 0.0,
 ) -> SCFResult:
     """Converge the closed-shell SCF fixed point.
 
@@ -183,15 +180,11 @@ def run_rhf(
             history.append(e_elec + e_nuc)
             return SCFResult(
                 C=c, eps=eps, gamma=gamma, fock=fock,
-                E_total=e_elec + e_nuc, E_elec=e_elec,
+                E_total=e_elec + e_nuc,
                 n_occ=n_occ, n_iterations=iteration,
                 history=tuple(history),
             )
-        fock_eff = diis.extrapolate(fock, x.T @ grad @ x)
-        if level_shift > 0.0:
-            shift = s @ (np.eye(s.shape[0]) - 0.5 * gamma @ s) * level_shift
-            fock_eff = fock_eff + 0.5 * (shift + shift.T)
-        c, eps = solve_roothaan(fock_eff, s, x)
+        c, eps = solve_roothaan(diis.extrapolate(fock, x.T @ grad @ x), s, x)
         gamma = density_matrix(c[:, :n_occ])
 
     raise ConvergenceError(

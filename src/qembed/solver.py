@@ -23,7 +23,6 @@ the Pauli machinery, so the two paths check each other.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,13 +42,6 @@ DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
 EIG_MAXITER = 500
 EIG_SEED = 0
-
-
-@dataclass(frozen=True)
-class GroundState:
-    energy: float
-    n_qubits: int
-    sector: str
 
 
 def _twice_sz(s_z: float) -> int:
@@ -236,7 +228,7 @@ def _lowest_eigenvalue(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
     return energy
 
 
-def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> GroundState:
+def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> float:
     """Lowest eigenvalue of the qubit Hamiltonian in the (n_electrons, s_z) sector.
 
     A sector of at most DENSE_CUTOFF states, or of fewer than 5, is
@@ -249,10 +241,8 @@ def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> Gro
     csr = _assemble_sector_matrix(h, alphas, betas)
     dim = len(alphas) * len(betas)
     if dim <= DENSE_CUTOFF or dim < 5:
-        energy = float(np.linalg.eigvalsh(_dense_matrix(*csr))[0])
-    else:
-        energy = _lowest_eigenvalue(*csr)
-    return GroundState(energy=energy, n_qubits=n, sector=f"(n={n_electrons}, s_z={s_z})")
+        return float(np.linalg.eigvalsh(_dense_matrix(*csr))[0])
+    return _lowest_eigenvalue(*csr)
 
 
 # --- determinant-space FCI oracle -----------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qembed
 from qembed.cli import (
@@ -21,9 +24,12 @@ from qembed.cli import (
     displace_along_bond,
     main,
     parse_distances,
+    run_embedding_pipeline,
 )
+from qembed.embedding import same_level_energy
 from qembed.exceptions import ConvergenceError, InputError, ProjectionError
-from qembed.molecule import parse_xyz
+from qembed.molecule import Atom, Molecule, parse_xyz
+from qembed.solver import _assemble_sector_matrix, _dense_matrix, _sector_basis, ground_state
 
 WATER_XYZ = """3
 water
@@ -102,6 +108,8 @@ def test_parse_distances_rejects_garbage():
         parse_distances("1.0:2.0")
     with pytest.raises(InputError):
         parse_distances("abc")
+    with pytest.raises(InputError, match="could not parse distances '1:2:x'"):
+        parse_distances("1:2:x")
 
 
 def test_displace_along_bond():
@@ -173,7 +181,7 @@ def test_embed_builds_words_only_for_the_dump(tmp_path, water_file, monkeypatch)
     # and any name for it that the solver module may bind
     monkeypatch.setattr(qembed.solver, "pauli_masks", refuse, raising=False)
     (ham, kwargs, gs), = solved
-    assert solve(ham, **kwargs).energy == gs.energy
+    assert solve(ham, **kwargs) == gs
 
 
 def test_report_self_consistency(tmp_path, water_file):
@@ -280,6 +288,55 @@ def test_mu_projector_rotated_methane(tmp_path, seed):
     assert report["embedding"]["e_same_level_embedded"] == pytest.approx(
         report["scf"]["e_rhf_total"], abs=1e-5
     )
+
+
+# (system, active atoms, localizer): water O,H and NH3 N,H on SPADE, CH4 on the population route
+INVARIANCE_CASES = [("water", (0, 1), "spade"), ("nh3", (0, 1), "spade"),
+                    ("ch4", (0, 1, 2, 3), "population")]
+
+
+def _invariants(mol, active, localizer, spectrum):
+    """RHF, same-level and unrounded embedded energies, plus the sorted sector spectrum."""
+    config = RunConfig(geometry="", active_atoms=active, localizer=localizer, solver="none")
+    result = run_embedding_pipeline(config, mol=mol)
+    ham, n_el = result.hamiltonian, result.problem.n_act_electrons
+    energies = [result.scf.E_total,
+                same_level_energy(result.problem, result.scf_emb.gamma, result.integrals),
+                ground_state(ham, n_electrons=n_el, s_z=0)]
+    if spectrum:
+        csr = _assemble_sector_matrix(ham, *_sector_basis(ham.n_qubits, n_el, 0.0))
+        energies.extend(np.linalg.eigvalsh(_dense_matrix(*csr)))
+    return np.array(energies)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_invariants(name, active, localizer):
+    from conftest import get_system
+
+    return _invariants(get_system(name).mol, active, localizer, name == "water")
+
+
+@pytest.mark.parametrize("name, active, localizer", INVARIANCE_CASES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_energies_invariant_under_rigid_motion_and_atom_order(name, active, localizer, seed):
+    from conftest import get_system
+
+    mol = get_system(name).mol
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    q = q * np.linalg.det(q)   # det is +-1; a 3x3 sign flip makes the rotation proper
+    shift = rng.uniform(-3.0, 3.0, size=3)
+    perm = rng.permutation(mol.n_atoms)   # atom k of the moved molecule is atom perm[k]
+    moved = Molecule(tuple(Atom(mol.atoms[i].symbol, mol.atoms[i].z,
+                                q @ mol.atoms[i].position + shift) for i in perm))
+    moved_active = tuple(sorted(int(np.flatnonzero(perm == a)[0]) for a in active))
+    spectrum = name == "water"   # its (6, 0) sector holds 225 states
+    got = _invariants(moved, moved_active, localizer, spectrum)
+    assert len(got) == (3 + 225 if spectrum else 3)
+    np.testing.assert_allclose(got, _reference_invariants(name, active, localizer),
+                               rtol=0, atol=1e-9)
 
 
 def test_config_file_with_flag_override(tmp_path, water_file):
@@ -430,6 +487,8 @@ def test_scan_records_per_point_failures(tmp_path, h2_file):
     ("atoms", "0,0", "config"), ("atoms", "0,7", "config"),
     ("active", "0,9", "partition"), ("active", "0,1,2", "partition"),
     ("distances", "-0.9,0.9", "config"), ("distances", "0,0.9", "config"),
+    ("distances", "0.8,nan", "config"), ("distances", "0.8,inf", "config"),
+    ("distances", "0.8:inf:0.2", "config"), ("distances", "0.8:3.0:1e-300", "config"),
 ])
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_scan_refuses_bad_atoms_before_any_point(tmp_path, water_file, monkeypatch, capsys,
@@ -451,6 +510,33 @@ def test_scan_refuses_bad_atoms_before_any_point(tmp_path, water_file, monkeypat
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error [{label}] ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["0", "-1", "nan", "inf"])
+def test_embed_refuses_bad_mu_before_integrals(tmp_path, water_file, monkeypatch, capsys, mu):
+    import qembed.cli as cli
+
+    def integrals_ran(*args, **kwargs):
+        raise AssertionError("integrals ran")
+
+    monkeypatch.setattr(cli, "compute_integrals", integrals_ran)
+    out = tmp_path / "report.json"
+    assert main(["embed", "--geometry", water_file, "--active", "0", "--projector", "mu",
+                 f"--mu={mu}", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error [config] mu must be positive")
+    assert not out.exists()
+
+
+def test_scan_point_bound():
+    # a range is refused before its points are made, a list of distances at the scan
+    with pytest.raises(InputError, match="more than 10000 points"):
+        parse_distances("0:1e300:1e-12")
+    with pytest.raises(InputError, match="more than 10000 points"):
+        parse_distances("0.1:2000.1:0.2")
+    assert len(parse_distances("0.1:2000.0:0.2")) == 10_000
+    config = RunConfig(geometry="never-read.xyz", active_atoms=(0,))
+    with pytest.raises(InputError, match="at most 10000 distances, got 10001"):
+        cmd_scan(config, (0, 1), [0.5 + 1e-3 * k for k in range(10_001)])
 
 
 @pytest.mark.parametrize("active", ["0,9", "0,1,2"])
@@ -535,7 +621,10 @@ def test_exit_code_mapping(monkeypatch, tmp_path, water_file):
     assert code == EXIT_PROJECTION
 
 
-def test_scan_parallel_matches_serial(tmp_path, h2_file):
+def test_scan_parallel_matches_serial(tmp_path, h2_file, monkeypatch):
+    import qembed.cli as cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     outs = []
     for jobs, name in ((1, "serial.txt"), (2, "parallel.txt")):
         out = tmp_path / name
@@ -543,6 +632,39 @@ def test_scan_parallel_matches_serial(tmp_path, h2_file):
         cmd_scan(config, (0, 1), [0.6, 0.9, 1.2], jobs=jobs)
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("cpus, n_points, workers", [(2, 3, 2), (16, 2, 2), (1, 3, None)])
+def test_scan_workers_capped_by_points_and_cpus(tmp_path, h2_file, monkeypatch,
+                                                cpus, n_points, workers):
+    import concurrent.futures
+
+    import qembed.cli as cli
+
+    made = []
+
+    class InProcessPool:
+        """Records its worker count and runs map here, starting no process."""
+
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    config = RunConfig(geometry=h2_file, active_atoms=(0,), solver="none",
+                       out=str(tmp_path / "scan.txt"))
+    distances = [0.6, 0.9, 1.2][:n_points]
+    assert cmd_scan(config, (0, 1), distances, jobs=8) == 0
+    assert made == ([] if workers is None else [workers])
 
 
 def test_scan_worker_environment_is_single_threaded_and_restored(monkeypatch):
@@ -717,7 +839,10 @@ def test_verbose_logs_each_scf_iteration_to_stderr(tmp_path, water_file, capsys)
     assert "scf iter" not in capsys.readouterr().err
 
 
-def test_verbose_reaches_scan_workers(tmp_path, h2_file, capfd):
+def test_verbose_reaches_scan_workers(tmp_path, h2_file, capfd, monkeypatch):
+    import qembed.cli as cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     code = main(["scan", "--geometry", h2_file, "--active", "0", "--atoms", "0,1",
                  "--distances", "0.6,0.9,1.2", "--jobs", "2", "--verbose", "2",
                  "--out", str(tmp_path / "scan.txt")])

@@ -11,6 +11,7 @@ from qembed.embedding import (
     run_embedded_scf,
     same_level_energy,
 )
+from qembed.exceptions import InputError
 from qembed.localize import spade_partition
 from qembed.molecule import nuclear_repulsion
 from qembed.scf import density_matrix, two_electron_matrix
@@ -267,7 +268,7 @@ def test_wf_route_whole_molecule_equals_fci(h2):
                       constant=problem.classical_energy)
     ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
     gs = ground_state(ham, n_electrons=problem.n_act_electrons, s_z=0)
-    assert gs.energy == pytest.approx(fci_oracle(h2.mol, h2.ints, h2.scf), abs=1e-10)
+    assert gs == pytest.approx(fci_oracle(h2.mol, h2.ints, h2.scf), abs=1e-10)
 
 
 def test_embedding_beats_mean_field_at_equilibrium(water, water_partition):
@@ -281,7 +282,7 @@ def test_embedding_beats_mean_field_at_equilibrium(water, water_partition):
     ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
     gs = ground_state(ham, n_electrons=problem.n_act_electrons, s_z=0)
     e_fci = fci_oracle(water.mol, water.ints, water.scf)
-    assert abs(gs.energy - e_fci) < abs(water.scf.E_total - e_fci)
+    assert abs(gs - e_fci) < abs(water.scf.E_total - e_fci)
 
 
 def test_drop_environment_counts(water, water_partition):
@@ -298,6 +299,11 @@ def test_drop_environment_keeps_the_rest_in_energy_order(water, ch4):
         c_red = drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
         expected = np.delete(emb.C, np.argsort(pops)[-part.n_env:], axis=1)
         np.testing.assert_array_equal(c_red, expected)
+
+
+def test_unknown_projector_is_an_input_error(water, water_partition):
+    with pytest.raises(InputError, match="unknown projector kind 'bogus'"):
+        run_embedded_scf(water_partition, water.ints, water.mol, projector_kind="bogus")
 
 
 def test_drop_environment_noop_without_env(h2):

@@ -112,7 +112,7 @@ def test_spade_invariant_under_occupied_remixing(seed):
     c[:, :n_occ] = c[:, :n_occ] @ q
     remixed = SCFResult(
         C=c, eps=water.scf.eps, gamma=water.scf.gamma, fock=water.scf.fock,
-        E_total=water.scf.E_total, E_elec=water.scf.E_elec,
+        E_total=water.scf.E_total,
         n_occ=n_occ, n_iterations=1,
     )
     ref = spade_partition(water.scf, water.ints.S, water.basis, [0, 1])
@@ -129,7 +129,7 @@ def test_spade_ambiguity_reported():
     c[2, 2] = c[3, 3] = 1.0
     fake = SCFResult(
         C=c, eps=np.zeros(4), gamma=2 * c[:, :2] @ c[:, :2].T, fock=np.eye(4),
-        E_total=0.0, E_elec=0.0, n_occ=2, n_iterations=1,
+        E_total=0.0, n_occ=2, n_iterations=1,
     )
 
     class FakeBasis:

@@ -38,6 +38,12 @@ def test_unknown_element_rejected():
         parse_xyz("1\n\nXx 0 0 0")
 
 
+@pytest.mark.parametrize("line", ["H nan 0 0", "H 0 inf 0", "H 0 0 -inf"])
+def test_non_finite_coordinate_rejected(line):
+    with pytest.raises(InputError, match=f"non-finite coordinate in line: '{line}'"):
+        parse_xyz(f"2\n\n{line}\nH 0 0 0.74")
+
+
 def test_malformed_line_rejected():
     with pytest.raises(InputError):
         parse_xyz("1\n\nH 0 0")

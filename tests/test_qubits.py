@@ -13,7 +13,8 @@ from qembed.qubits import (
     FermionOperator,
     MOIntegrals,
     QubitHamiltonian,
-    _pauli_words,
+    _decode,
+    _word_bytes,
     dense_matrix,
     jordan_wigner,
     mo_transform,
@@ -491,7 +492,7 @@ def test_from_json_rejects_repeated_words(data):
 def test_pauli_masks_round_trip(words):
     n = len(words[0])
     x, z = pauli_masks(words, n)
-    assert _pauli_words(x, z, n) == words
+    assert _decode(_word_bytes(x, z, n), n) == words
     for word, xw, zw in zip(words, x.tolist(), z.tolist()):
         assert [(xw >> q) & 1 for q in range(n)] == [int(c in "XY") for c in word]
         assert [(zw >> q) & 1 for q in range(n)] == [int(c in "ZY") for c in word]

@@ -76,9 +76,8 @@ def test_single_z_ground_state():
     # Z is -1 on an occupied qubit: the one-electron state lies at +1, the empty one at -1
     ham = QubitHamiltonian.from_terms(1, [("Z", -1.0)])
     gs = ground_state(ham, n_electrons=1, s_z=0.5)
-    assert gs.energy == pytest.approx(1.0, abs=1e-12)
-    assert gs.sector == "(n=1, s_z=0.5)"
-    assert ground_state(ham, n_electrons=0, s_z=0).energy == pytest.approx(-1.0, abs=1e-12)
+    assert gs == pytest.approx(1.0, abs=1e-12)
+    assert ground_state(ham, n_electrons=0, s_z=0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_h2_ground_state_matches_dense_oracle(h2):
@@ -88,14 +87,14 @@ def test_h2_ground_state_matches_dense_oracle(h2):
 
     dense = np.linalg.eigvalsh(dense_matrix(ham).real)[0]
     gs = ground_state(ham, n_electrons=2, s_z=0)
-    assert gs.energy == pytest.approx(dense, abs=1e-10)
-    assert gs.energy == pytest.approx(-1.1372701750, abs=1e-9)
+    assert gs == pytest.approx(dense, abs=1e-10)
+    assert gs == pytest.approx(-1.1372701750, abs=1e-9)
 
 
 def test_sector_restriction_consistent_with_full_space(h2):
     # the (N, S_z) sectors of 2 alpha and 2 beta orbitals tile the 16 states
     ham = full_jw(h2)
-    energies = [ground_state(ham, n_electrons=n_a + n_b, s_z=(n_a - n_b) / 2).energy
+    energies = [ground_state(ham, n_electrons=n_a + n_b, s_z=(n_a - n_b) / 2)
                 for n_a in range(3) for n_b in range(3)]
     assert min(energies) == pytest.approx(np.linalg.eigvalsh(dense_matrix(ham).real)[0],
                                           abs=1e-10)
@@ -104,13 +103,13 @@ def test_sector_restriction_consistent_with_full_space(h2):
 def test_oracle_equivalence_h2(h2):
     ham = full_jw(h2)
     gs = ground_state(ham, n_electrons=2, s_z=0)
-    assert gs.energy == pytest.approx(fci_oracle(h2.mol, h2.ints, h2.scf), abs=1e-10)
+    assert gs == pytest.approx(fci_oracle(h2.mol, h2.ints, h2.scf), abs=1e-10)
 
 
 def test_oracle_equivalence_hehplus(heh_plus):
     ham = full_jw(heh_plus)
     gs = ground_state(ham, n_electrons=2, s_z=0)
-    assert gs.energy == pytest.approx(
+    assert gs == pytest.approx(
         fci_oracle(heh_plus.mol, heh_plus.ints, heh_plus.scf), abs=1e-10
     )
 
@@ -118,7 +117,7 @@ def test_oracle_equivalence_hehplus(heh_plus):
 def test_oracle_equivalence_lih(lih):
     ham = full_jw(lih)
     gs = ground_state(ham, n_electrons=4, s_z=0)
-    assert gs.energy == pytest.approx(
+    assert gs == pytest.approx(
         fci_oracle(lih.mol, lih.ints, lih.scf), abs=1e-8
     )
 
@@ -127,7 +126,7 @@ def test_oracle_equivalence_water(water):
     ham = full_jw(water)
     gs = ground_state(ham, n_electrons=10, s_z=0)
     e_fci = fci_oracle(water.mol, water.ints, water.scf)
-    assert gs.energy == pytest.approx(e_fci, abs=1e-8)
+    assert gs == pytest.approx(e_fci, abs=1e-8)
 
 
 def test_water_fci_regression(water):
@@ -146,7 +145,7 @@ def test_oracle_equivalence_nh3_at_orbital_limit(nh3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gs.energy == pytest.approx(e_fci, abs=1e-8)
+    assert gs == pytest.approx(e_fci, abs=1e-8)
     # the dense 3136^2 CI matrix plus slack: the blocks are built one alpha string
     # at a time and never hold the whole (I, J, I', J') tensor, which would not fit
     assert peak <= 1.25 * 3136**2 * 8
@@ -157,7 +156,7 @@ def test_triplet_oracle_matches_qubit_sector(name, request):
     system = request.getfixturevalue(name)
     n_e = system.mol.n_electrons
     gs = ground_state(full_jw(system), n_electrons=n_e, s_z=1)
-    assert gs.energy == pytest.approx(
+    assert gs == pytest.approx(
         fci_oracle(system.mol, system.ints, system.scf, s_z=1), abs=1e-8
     )
 
@@ -203,7 +202,7 @@ def test_fci_energy_with_as_many_alpha_as_beta_strings(lih):
     # strings each, but swapping them is no symmetry, so the whole matrix is solved
     e_fci = fci_energy(lih.ints.h_core, lih.ints.eri, lih.scf.C, 4, 2)
     gs = ground_state(full_jw(lih), n_electrons=6, s_z=1)
-    assert e_fci + nuclear_repulsion(lih.mol) == pytest.approx(gs.energy, abs=1e-10)
+    assert e_fci + nuclear_repulsion(lih.mol) == pytest.approx(gs, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ["ch2", "nh"])
@@ -234,7 +233,7 @@ def test_fci_energy_matches_embedded_qubit_route(name, active, projector, reques
     assert c_red.shape[1] <= qembed.solver.MAX_FCI_ORBITALS
     n_e = problem.n_act_electrons
     ham, _ = embedded_jw(system, active, projector=projector)
-    e_qubit = ground_state(ham, n_electrons=n_e, s_z=0).energy
+    e_qubit = ground_state(ham, n_electrons=n_e, s_z=0)
     e_fci = fci_energy(problem.h_emb, system.ints.eri, c_red, n_e // 2, n_e - n_e // 2)
     assert e_fci + problem.classical_energy == pytest.approx(e_qubit, abs=1e-9)
 
@@ -263,14 +262,14 @@ def test_dense_and_sparse_paths_agree(water, force_route):
     dense = ground_state(ham, n_electrons=10, s_z=0)
     force_route("sparse")
     sparse = ground_state(ham, n_electrons=10, s_z=0)
-    assert dense.energy == pytest.approx(sparse.energy, abs=1e-9)
+    assert dense == pytest.approx(sparse, abs=1e-9)
 
 
 def test_lanczos_deterministic(water, force_route):
     # the LOBPCG route, from its seeded start
     ham = full_jw(water)
     force_route("sparse")
-    runs = [ground_state(ham, n_electrons=10, s_z=0).energy for _ in range(2)]
+    runs = [ground_state(ham, n_electrons=10, s_z=0) for _ in range(2)]
     assert runs[0] == runs[1]
 
 
@@ -281,10 +280,10 @@ def test_triplet_ground_state_found_at_s_z_0(name, request, force_route):
     system = request.getfixturevalue(name)
     ham, n_e = full_jw(system), system.mol.n_electrons
     force_route("sparse")
-    sparse = ground_state(ham, n_electrons=n_e, s_z=0).energy
-    assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=1).energy, abs=1e-9)
+    sparse = ground_state(ham, n_electrons=n_e, s_z=0)
+    assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=1), abs=1e-9)
     force_route("dense")
-    assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=0).energy, abs=1e-9)
+    assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=0), abs=1e-9)
 
 
 def test_eigensolver_iteration_cap_raises(water, monkeypatch, force_route):
@@ -302,7 +301,7 @@ def test_methanol_20_qubit_sector(methanol):
     assert ham.n_qubits == 20
     tracemalloc.start()
     try:
-        energy = ground_state(ham, n_electrons=n_e, s_z=0).energy
+        energy = ground_state(ham, n_electrons=n_e, s_z=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -332,7 +331,7 @@ def test_hamiltonian_without_terms(force_route):
     ham = QubitHamiltonian.from_terms(6, [])
     assert sector_csr(ham, *_sector_basis(6, 2, 0)).nnz == 0
     force_route("sparse")
-    assert ground_state(ham, n_electrons=2, s_z=0).energy == 0.0
+    assert ground_state(ham, n_electrons=2, s_z=0) == 0.0
 
 
 def test_empty_sector_rejected():
@@ -375,7 +374,7 @@ def test_ground_state_energy_below_diagonal(h2):
     ham = full_jw(h2)
     mat = sector_csr(ham, *_sector_basis(4, 2, 0.0)).toarray()
     gs = ground_state(ham, n_electrons=2, s_z=0)
-    assert gs.energy <= np.diag(mat).min() + 1e-12
+    assert gs <= np.diag(mat).min() + 1e-12
 
 
 @st.composite
