@@ -1,0 +1,56 @@
+"""Print a SHA-256 digest of the sector CSR arrays of three embedded Hamiltonians.
+
+The sectors are the S_z = 0 sectors of water (`--active 0,1`), CH4
+(`--active 0,1,2,3 --localizer population`) and methanol (`--active 1,5`),
+at the unrotated geometries of `perfbench/workloads.py`. The digest covers
+the dtype, shape and bytes of `data`, `indices` and `indptr`, so two source
+trees build bitwise-equal arrays exactly when their outputs match:
+
+    PYTHONPATH=<tree>/src python scripts/sector_csr_digest.py > digests.txt
+
+Methanol needs about 0.5 GB of memory; name sectors on the command line
+(`water ch4`) to build only those.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import time
+
+from qembed.cli import RunConfig, run_embedding_pipeline
+from qembed.molecule import parse_xyz
+from qembed.solver import _assemble_sector_matrix, _sector_basis
+
+SECTORS = {
+    "water": ("O 0 0 0.1173\nH 0 0.7572 -0.4692\nH 0 -0.7572 -0.4692", (0, 1), "spade"),
+    "ch4": ("C 0 0 0\nH 0.6276 0.6276 0.6276\nH 0.6276 -0.6276 -0.6276\n"
+            "H -0.6276 0.6276 -0.6276\nH -0.6276 -0.6276 0.6276", (0, 1, 2, 3), "population"),
+    "methanol": ("C -0.0466 0.6638 0.0\nO -0.0466 -0.7570 0.0\nH -1.0885 0.9752 0.0\n"
+                 "H 0.4363 1.0798 0.8913\nH 0.4363 1.0798 -0.8913\nH 0.8444 -1.0925 0.0",
+                 (1, 5), "spade"),
+}
+
+
+def main(names: list[str]) -> None:
+    for name in names or SECTORS:
+        atoms, active, localizer = SECTORS[name]
+        mol = parse_xyz(f"{atoms.count(chr(10)) + 1}\n{name}\n{atoms}")
+        config = RunConfig(geometry=name, active_atoms=active, localizer=localizer, solver="none")
+        result = run_embedding_pipeline(config, mol=mol)
+        ham = result.hamiltonian
+        basis = _sector_basis(ham.n_qubits, result.problem.n_act_electrons, 0.0)
+        start = time.perf_counter()
+        arrays = _assemble_sector_matrix(ham, *basis)
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256()
+        for array in arrays:
+            digest.update(f"{array.dtype} {array.shape}".encode())
+            digest.update(array.tobytes())
+        print(f"{name} states={len(arrays[2]) - 1} entries={len(arrays[0])} "
+              f"sha256={digest.hexdigest()}", flush=True)
+        print(f"{name} assembly {seconds * 1e3:.1f} ms", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

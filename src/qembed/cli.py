@@ -82,6 +82,9 @@ class RunConfig:
             raise InputError(f"threshold {self.threshold} outside (0, 1]")
         if not 0.0 < self.mu < math.inf:
             raise InputError(f"mu must be positive and finite, got {self.mu}")
+        out_dir = os.path.dirname(self.out) or "."
+        if not os.path.isdir(out_dir):
+            raise InputError(f"output directory {out_dir} of --out {self.out} does not exist")
 
 
 class StageError(Exception):
@@ -98,6 +101,15 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except QembedError as exc:
         raise StageError(name, exc) from exc
+
+
+@contextmanager
+def _writing(path: str):
+    """Raise an OSError of the block as an InputError that names path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _round10(value: float) -> float:
@@ -213,8 +225,9 @@ def cmd_embed(config: RunConfig) -> int:
     }
     if result.e_wf is not None:
         report["energies"]["e_wf_in_lowlevel"] = result.e_wf
-    result.hamiltonian.dump(ham_path)
-    with open(config.out, "w") as fh:
+    with _writing(ham_path):
+        result.hamiltonian.dump(ham_path)
+    with _writing(config.out), open(config.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
     logging.getLogger(__name__).info("report written to %s; hamiltonian to %s", config.out, ham_path)
@@ -334,7 +347,7 @@ def _write_scan_table(path: str, rows: list[dict]) -> None:
     def cell(val) -> str:
         return "n/a" if val is None else f"{val:.10f}" if isinstance(val, float) else str(val)
 
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write("# " + "  ".join(cols) + "\n")
         fh.writelines("  ".join(cell(row.get(col)) for col in cols) + "\n" for row in rows)
 

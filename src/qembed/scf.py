@@ -109,14 +109,12 @@ class _Diis:
             try:
                 coeffs = np.linalg.solve(b, rhs)[:n]
             except np.linalg.LinAlgError:
-                self.focks.pop(0)
-                self.errors.pop(0)
-                continue
-            if np.max(np.abs(coeffs)) > 1e6:
-                self.focks.pop(0)
-                self.errors.pop(0)
-                continue
-            return np.tensordot(coeffs, self.focks, 1)
+                coeffs = None
+            if coeffs is not None and np.max(np.abs(coeffs)) <= 1e6:
+                return np.tensordot(coeffs, self.focks, 1)
+            # B is singular or near it: drop the oldest pair and retry
+            self.focks.pop(0)
+            self.errors.pop(0)
         return fock
 
 
@@ -165,7 +163,8 @@ def run_rhf(
     for iteration in range(1, MAX_ITERATIONS + 1):
         fock, e_elec = fock_and_energy(gamma)
         grad = fock @ gamma @ s - s @ gamma @ fock
-        grad_norm = np.linalg.norm(x.T @ grad @ x)
+        error = x.T @ grad @ x   # the orbital gradient in the orthogonal basis
+        grad_norm = np.linalg.norm(error)
         de = e_elec - energy
         energy = e_elec
         history.append(e_elec + e_nuc)
@@ -184,7 +183,7 @@ def run_rhf(
                 n_occ=n_occ, n_iterations=iteration,
                 history=tuple(history),
             )
-        c, eps = solve_roothaan(diis.extrapolate(fock, x.T @ grad @ x), s, x)
+        c, eps = solve_roothaan(diis.extrapolate(fock, error), s, x)
         gamma = density_matrix(c[:, :n_occ])
 
     raise ConvergenceError(

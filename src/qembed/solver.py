@@ -90,55 +90,51 @@ def _assemble_sector_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project the Pauli sum onto the alpha × beta sector grid, as CSR (data, indices, indptr).
 
-    A group is the words of one x mask whose phase i^(number of Y) is real,
-    or those whose phase is imaginary. The x mask flips the alpha and the
-    beta string of a state apart, so group g takes state (a, b) to state
-    ra[g, a] * n_beta + rb[g, b], from the ranks of the two flipped strings
-    (-1 outside the sector). Row s holds the value at s of each real group
-    that flips s into the sector, in the partner's column: a Hermitian
-    operator with real coefficients is real symmetric once its imaginary
-    part cancels. The entry count of every row is one product of the two
-    rank tables, so a matrix over MAX_SECTOR_BYTES is refused before
+    A word with an odd number of Y has imaginary elements, so a sum that holds
+    one is refused before anything is built. A group is the words of one x
+    mask, which flips the alpha and the beta string of a state apart: group g
+    takes state (a, b) to state ra[a, g] * n_beta + rb[b, g], from the ranks
+    of the two flipped strings (-1 outside the sector). Row s holds the value
+    at s of each group that flips s into the sector, in the partner's column,
+    so its columns are distinct. Every row's entry count is one product of the
+    two rank tables, so a matrix over MAX_SECTOR_BYTES is refused before
     anything of its size is allocated.
 
-    The entries are written in place, each row in group order whatever the
-    block size. Groups of equal word count k form a run, cut into chunks of
-    at most CELL_BLOCK // n_beta groups, and a chunk walks the grid a few
-    alpha strings at a time. A cell's value is sum_w f_w (-1)^|s∧z_w|, with
-    f_w the coefficient times the real sign of i^(number of Y). The sign is
-    a product of an alpha and a beta sign, so a group's values over the
-    grid are the product of an (alpha × k) and a (k × beta) table. It is
-    evaluated one alpha string at a time, for every group of the chunk in
-    one batched call: numpy hands a single row to a matrix-vector kernel,
-    whose rounding differs from the matrix-matrix one, so no value depends
-    on the block size. A word's phase is exactly +-1 or +-i; the imaginary
-    groups must cancel on every cell that flips into the sector, and are
-    checked. The real groups have distinct x masks, so a row's columns are
-    distinct too.
+    A row's entries are in group order: by word count, then by x mask. The
+    grid is walked as many alpha strings at a time as fit in CELL_BLOCK
+    (state, group) cells, at least one, with every group at once, so the cells
+    that flip into the sector come out in CSR order and one running offset
+    places them. A cell's
+    value is sum_w f_w (-1)^|s∧z_w|, f_w the coefficient times the sign of
+    i^(number of Y). That sign is an alpha times a beta sign, so the values of
+    a group of k words are the product of an (alpha × k) and a (k × beta)
+    table. It is evaluated one alpha string at a time, the groups of k words
+    in one batched call: numpy hands a single row to a matrix-vector kernel,
+    whose rounding differs from the matrix-matrix one, so no value depends on
+    the block size.
     """
     x, z = h.x.astype(np.int64), h.z.astype(np.int64)
     n_y = np.bitwise_count(x & z)
-    factors = np.where(n_y % 4 < 2, h.coeffs, -h.coeffs)
-    imag = n_y % 2 == 1
-    order = np.lexsort((imag, x))
-    x, z, factors, imag = x[order], z[order], factors[order], imag[order]
-    opens_group = np.ones(len(x), dtype=bool)
-    opens_group[1:] = (x[1:] != x[:-1]) | (imag[1:] != imag[:-1])
-    starts = np.flatnonzero(opens_group)
-    sizes = np.diff(np.r_[starts, len(x)])
-    imag = imag[starts]
+    if (n_y % 2).any():
+        raise InputError("Hamiltonian is not real in the occupation basis: "
+                         "a word has an odd number of Y")
+    order = np.argsort(x, kind="stable")
+    x, z, factors = x[order], z[order], np.where(n_y % 4 == 0, h.coeffs, -h.coeffs)[order]
+    _, starts, sizes = np.unique(x, return_index=True, return_counts=True)
+    by_size = np.argsort(sizes, kind="stable")   # the starts ascend in x already
+    starts, sizes = starts[by_size], sizes[by_size]
 
     alpha_mask = sum(1 << q for q in range(0, h.n_qubits, 2))
-    ra = _partner_ranks(alphas, x[starts] & alpha_mask)
-    rb = _partner_ranks(betas, x[starts] & ~alpha_mask)
-    n_beta = len(betas)
+    ra = _partner_ranks(alphas, x[starts] & alpha_mask).T
+    rb = _partner_ranks(betas, x[starts] & ~alpha_mask).T
+    n_beta, n_groups = len(betas), len(starts)
     dim = len(alphas) * n_beta
     # float, as BLAS has no integer product; the counts are far below 2^53
-    per_row = ((ra[~imag] >= 0).T.astype(float) @ (rb[~imag] >= 0)).astype(np.int64).ravel()
+    per_row = ((ra >= 0).astype(float) @ (rb >= 0).T).astype(np.int64).ravel()
     nnz = int(per_row.sum())
-    # 12 bytes per entry (float64 value, int32 column) and about 40 vectors
-    # of the sector dimension (build buffers and eigensolver)
-    needed = 12 * nnz + 8 * 40 * dim
+    # 12 bytes per entry (float64 value, int32 column), 8 per (word, beta string)
+    # sign and about 40 vectors of the sector dimension (build buffers and eigensolver)
+    needed = 12 * nnz + 8 * len(x) * n_beta + 8 * 40 * dim
     if needed > MAX_SECTOR_BYTES:
         raise InputError(
             f"sector of dimension {dim} needs {needed / 2**20:.0f} MB for its sparse "
@@ -148,39 +144,27 @@ def _assemble_sector_matrix(
     np.cumsum(per_row, out=indptr[1:])
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
-    fill = indptr[:-1].copy()
+    if not n_groups:
+        return data, indices, indptr.astype(np.int32)
 
-    per_chunk = max(1, CELL_BLOCK // n_beta)
-    for k in np.unique(sizes):
-        run = np.flatnonzero(sizes == k)
-        for lo in range(0, len(run), per_chunk):
-            groups = run[lo:lo + per_chunk]
-            words = starts[groups][:, None] + np.arange(k)
-            per_block = max(1, CELL_BLOCK // (len(groups) * n_beta))
-            # (group, alpha, word) and (group, word, beta) tables of (-1)^|s∧z|
-            a_table = _signs(z[words][:, None] & alphas[:, None]) * factors[words][:, None]
-            b_table = _signs(z[words][:, :, None] & betas)[:, None]
-            rb_chunk, chunk_imag = rb[groups].T, imag[groups]
-            for a in range(0, len(alphas), per_block):
-                ra_block = ra[groups, a:a + per_block].T
-                # (state, group) cells of the block, state-major
-                partners = (ra_block[:, None] * n_beta + rb_chunk).reshape(-1, len(groups))
-                hit = ((ra_block[:, None] >= 0) & (rb_chunk >= 0)).reshape(-1, len(groups))
-                grid = np.matmul(a_table[:, a:a + per_block, None], b_table)
-                vals = np.ascontiguousarray(grid.reshape(len(groups), -1).T)
-                if chunk_imag.any():
-                    if np.abs(vals[:, chunk_imag][hit[:, chunk_imag]]).max(initial=0.0) > 1e-10:
-                        raise InputError("Hamiltonian is not real in the occupation basis")
-                    hit[:, chunk_imag] = False
-                pos = slice(a * n_beta, a * n_beta + len(hit))
-                counts = np.count_nonzero(hit, axis=1)
-                # each row's entries are contiguous and in group order
-                cell = np.flatnonzero(hit)
-                first = fill[pos] - (np.cumsum(counts) - counts)
-                at = np.repeat(first, counts) + np.arange(len(cell))
-                indices[at] = partners.ravel()[cell]
-                data[at] = vals.ravel()[cell]
-                fill[pos] += counts
+    # per word count k: the (group, word) indices and (group, 1, word, beta) signs (-1)^|s∧z|
+    words = [starts[sizes == k][:, None] + np.arange(k) for k in np.unique(sizes)]
+    b_tables = [_signs(z[w][:, None, :, None] & betas) for w in words]
+    per_block = max(1, CELL_BLOCK // (n_groups * n_beta))
+    at = 0
+    for a in range(0, len(alphas), per_block):
+        block = alphas[a:a + per_block, None]
+        # (group, alpha, 1, word) @ (group, 1, word, beta): one row per product
+        vals = np.concatenate([
+            np.matmul((_signs(z[w][:, None] & block) * factors[w][:, None])[:, :, None], b)
+            for w, b in zip(words, b_tables)
+        ]).reshape(n_groups, -1)
+        ra_block = ra[a:a + per_block, None]
+        # the (state, group) cells of the block that flip into the sector, state-major
+        cell = np.flatnonzero((ra_block >= 0) & (rb >= 0))
+        indices[at:at + len(cell)] = (ra_block * n_beta + rb).ravel()[cell]
+        data[at:at + len(cell)] = vals.T.ravel()[cell]
+        at += len(cell)
     return data, indices, indptr.astype(np.int32)
 
 

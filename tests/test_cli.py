@@ -561,6 +561,41 @@ def test_embed_refuses_bad_active_atoms_before_integrals(tmp_path, water_file, m
         [tmp_path / "run.cfg"] if source == "file" else [])
 
 
+def _out_argv(command, water_file):
+    argv = [command, "--geometry", water_file, "--active", "0,2", "--solver", "none"]
+    return argv + (["--atoms", "0,2", "--distances", "0.9,1.0"] if command == "scan" else [])
+
+
+@pytest.mark.parametrize("command", ["embed", "scan"])
+def test_out_in_a_missing_directory_refused_before_integrals(tmp_path, water_file, monkeypatch,
+                                                             capsys, command):
+    import qembed.cli as cli
+
+    def integrals_ran(*args, **kwargs):
+        raise AssertionError("integrals ran")
+
+    monkeypatch.setattr(cli, "compute_integrals", integrals_ran)
+    out = tmp_path / "nodir" / "out.json"
+    assert main(_out_argv(command, water_file) + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error [config] ") and str(tmp_path / "nodir") in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "water.xyz"]
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("embed", "out.json"),
+    ("embed", "out.hamiltonian.json"),
+    ("scan", "out.json"),
+])
+def test_unwritable_out_is_a_config_error_that_names_it(tmp_path, water_file, capsys, command,
+                                                        blocked):
+    # a directory where the file should be: open() fails after the run
+    (tmp_path / blocked).mkdir()
+    argv = _out_argv(command, water_file) + ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error [config] cannot write {tmp_path / blocked}: ")
+
+
 def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch):
     import qembed.cli as cli
 

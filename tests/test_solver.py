@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -377,21 +378,30 @@ def test_ground_state_energy_below_diagonal(h2):
     assert gs <= np.diag(mat).min() + 1e-12
 
 
+def even_y(word):
+    """The word, with its first Y made an X if it holds an odd number of Y."""
+    return word.replace("Y", "X", 1) if word.count("Y") % 2 else word
+
+
 @st.composite
 def pauli_sums_and_sectors(draw):
+    """A Pauli sum of even-Y words, plus one odd-Y word when odd_y is drawn True."""
     n = draw(st.integers(1, 8))
     words = st.text("IXYZ", min_size=n, max_size=n)
     coeffs = st.floats(-1.0, 1.0).map(lambda c: round(c, 3))
-    terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=12))
+    terms = draw(st.dictionaries(words.map(even_y), coeffs, min_size=1, max_size=12))
+    odd_y = draw(st.booleans())
+    if odd_y:
+        terms[draw(words.filter(lambda word: word.count("Y") % 2))] = draw(coeffs)
     n_electrons = draw(st.integers(0, n))
     s_z = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
-    return QubitHamiltonian.from_terms(n, terms.items()), n_electrons, s_z
+    return QubitHamiltonian.from_terms(n, terms.items()), n_electrons, s_z, odd_y
 
 
 @settings(max_examples=150, deadline=None)
 @given(pauli_sums_and_sectors())
 def test_sector_matrix_is_dense_matrix_restricted(case):
-    ham, n_electrons, s_z = case
+    ham, n_electrons, s_z, odd_y = case
     n = ham.n_qubits
     # reference enumeration: a plain loop over every bitstring
     expected_states = [
@@ -406,30 +416,39 @@ def test_sector_matrix_is_dense_matrix_restricted(case):
     alphas, betas = _sector_basis(n, n_electrons, s_z)
     states = grid_states(alphas, betas)
     assert sorted(states.tolist()) == expected_states
-    block = dense_matrix(ham)[np.ix_(states, states)]
-    if np.abs(block.imag).max() > 1e-10:
+    if odd_y:
         with pytest.raises(InputError, match="not real"):
             _assemble_sector_matrix(ham, alphas, betas)
-    else:
-        arrays = _assemble_sector_matrix(ham, alphas, betas)
+        return
+    block = dense_matrix(ham)[np.ix_(states, states)]
+    assert np.abs(block.imag).max() <= 1e-12
+    # the default blocks, and one alpha string per block; a function-scoped
+    # monkeypatch would outlive the examples Hypothesis runs in one test call
+    for cell_block in (qembed.solver.CELL_BLOCK, 1):
+        with mock.patch.object(qembed.solver, "CELL_BLOCK", cell_block):
+            arrays = _assemble_sector_matrix(ham, alphas, betas)
         mat = scipy.sparse.csr_matrix(arrays, shape=block.shape).toarray()
         assert np.abs(mat - block.real).max() <= 1e-12
         # the dense route fills its array from the same arrays with one assignment
         assert np.array_equal(qembed.solver._dense_matrix(*arrays), mat)
 
 
-@pytest.mark.parametrize("name, active, localizer, block", [
-    ("water", (0, 2), "spade", 7),
-    ("ch4", (0, 1, 2, 3), "population", 1021),
+@pytest.mark.parametrize("per_block", ["one", "four", "all"])
+@pytest.mark.parametrize("name, active, localizer", [
+    ("water", (0, 2), "spade"),
+    ("ch4", (0, 1, 2, 3), "population"),
 ])
-def test_sector_matrix_block_seams(name, active, localizer, block, request, monkeypatch):
-    # a prime block splits word-count runs into uneven chunks and the alpha
-    # strings into uneven blocks; the CSR arrays must not change by one bit
+def test_sector_matrix_block_seams(name, active, localizer, per_block, request, monkeypatch):
+    # blocks of one alpha string, of four with an uneven last block, and of
+    # every alpha string give the CSR arrays of the default blocks to the bit
     ham, n_e = embedded_jw(request.getfixturevalue(name), active, localizer)
-    basis = _sector_basis(ham.n_qubits, n_e, 0)
-    whole = _assemble_sector_matrix(ham, *basis)
-    monkeypatch.setattr(qembed.solver, "CELL_BLOCK", block)
-    seamed = _assemble_sector_matrix(ham, *basis)
+    alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
+    whole = _assemble_sector_matrix(ham, alphas, betas)
+    n_block = {"one": 1, "four": 4, "all": len(alphas)}[per_block]
+    assert per_block != "four" or len(alphas) % n_block
+    # an alpha string's (state, group) cells: one group per x mask
+    monkeypatch.setattr(qembed.solver, "CELL_BLOCK", n_block * len(np.unique(ham.x)) * len(betas))
+    seamed = _assemble_sector_matrix(ham, alphas, betas)
     for part, seamed_part in zip(whole, seamed, strict=True):   # data, indices, indptr
         assert np.array_equal(part, seamed_part)
 
@@ -452,16 +471,15 @@ def test_odd_y_word_not_real_in_sector():
         ground_state(ham, n_electrons=1, s_z=0.5)
 
 
-def test_cancelling_imaginary_group_is_not_stored():
-    # XIYI and YIXI share the x mask of XIXI; their +-i elements cancel inside
-    # the sector, so a row holds one entry per real group: Z and XIXI
+def test_cancelling_odd_y_words_are_refused():
+    # XIYI and YIXI share the x mask of XIXI, and their +-i elements cancel in
+    # the sector of one alpha electron; the sum is refused all the same
     ham = QubitHamiltonian.from_terms(4, [("XIYI", 0.5), ("YIXI", 0.5), ("XIXI", 0.3),
                                           ("ZIII", 1.0)])
-    basis = _sector_basis(4, 1, 0.5)
-    states = grid_states(*basis)
-    mat = sector_csr(ham, *basis)
-    assert mat.nnz == 4
-    assert np.abs(mat.toarray() - dense_matrix(ham)[np.ix_(states, states)].real).max() <= 1e-12
+    states = grid_states(*_sector_basis(4, 1, 0.5))
+    assert np.abs(dense_matrix(ham)[np.ix_(states, states)].imag).max() <= 1e-12
+    with pytest.raises(InputError, match="not real"):
+        ground_state(ham, n_electrons=1, s_z=0.5)
 
 
 def test_oversized_sector_refused(h2, monkeypatch):
@@ -485,3 +503,18 @@ def test_24_qubit_sector_refused_before_matrix_sized_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_odd_y_word_refused_before_matrix_sized_arrays():
+    # sector (12, 0) of 24 qubits has 853,776 states; its per-row entry counts
+    # alone would take 6.5 MB
+    words = ["Z" + "I" * 23, "XY" + "I" * 22]
+    ham = QubitHamiltonian.from_terms(24, [(word, 0.5) for word in words])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="not real"):
+            ground_state(ham, n_electrons=12, s_z=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
