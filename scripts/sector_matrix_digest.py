@@ -1,14 +1,15 @@
-"""Print a SHA-256 digest of the sector CSR arrays of three embedded Hamiltonians.
+"""Print a SHA-256 digest of the sector-matrix arrays of three embedded Hamiltonians.
 
 The sectors are the S_z = 0 sectors of water (`--active 0,1`), CH4
 (`--active 0,1,2,3 --localizer population`) and methanol (`--active 1,5`),
 at the unrotated geometries of `perfbench/workloads.py`. The digest covers
-the dtype, shape and bytes of `data`, `indices` and `indptr`, so two source
-trees build bitwise-equal arrays exactly when their outputs match:
+the dtype, shape and bytes of the upper-triangle COO arrays `rows`, `cols`
+and `data`, so two source trees build bitwise-equal arrays exactly when their
+outputs match:
 
-    PYTHONPATH=<tree>/src python scripts/sector_csr_digest.py > digests.txt
+    PYTHONPATH=<tree>/src python scripts/sector_matrix_digest.py > digests.txt
 
-Methanol needs about 0.5 GB of memory; name sectors on the command line
+Methanol needs about 0.3 GB of memory; name sectors on the command line
 (`water ch4`) to build only those.
 """
 
@@ -39,15 +40,15 @@ def main(names: list[str]) -> None:
         config = RunConfig(geometry=name, active_atoms=active, localizer=localizer, solver="none")
         result = run_embedding_pipeline(config, mol=mol)
         ham = result.hamiltonian
-        basis = _sector_basis(ham.n_qubits, result.problem.n_act_electrons, 0.0)
+        alphas, betas = _sector_basis(ham.n_qubits, result.problem.n_act_electrons, 0.0)
         start = time.perf_counter()
-        arrays = _assemble_sector_matrix(ham, *basis)
+        arrays = _assemble_sector_matrix(ham, alphas, betas)
         seconds = time.perf_counter() - start
         digest = hashlib.sha256()
         for array in arrays:
             digest.update(f"{array.dtype} {array.shape}".encode())
             digest.update(array.tobytes())
-        print(f"{name} states={len(arrays[2]) - 1} entries={len(arrays[0])} "
+        print(f"{name} states={len(alphas) * len(betas)} entries={len(arrays[0])} "
               f"sha256={digest.hexdigest()}", flush=True)
         print(f"{name} assembly {seconds * 1e3:.1f} ms", file=sys.stderr)
 

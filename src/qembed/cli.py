@@ -85,6 +85,13 @@ class RunConfig:
         out_dir = os.path.dirname(self.out) or "."
         if not os.path.isdir(out_dir):
             raise InputError(f"output directory {out_dir} of --out {self.out} does not exist")
+        _refuse_directory(self.out)
+
+
+def _refuse_directory(path: str) -> None:
+    """Refuse an output path that names a directory, before the run rather than after it."""
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
 
 
 class StageError(Exception):
@@ -169,10 +176,11 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
 
 def cmd_embed(config: RunConfig) -> int:
     config.validate()
+    ham_path = config.out.removesuffix(".json") + ".hamiltonian.json"
+    _refuse_directory(ham_path)
     result = run_embedding_pipeline(config)
     partition, problem = result.partition, result.problem
     e_same_level = _round10(same_level_energy(problem, result.scf_emb.gamma, result.integrals))
-    ham_path = config.out.removesuffix(".json") + ".hamiltonian.json"
     report = {
         "molecule": {
             "n_atoms": result.mol.n_atoms,
@@ -227,9 +235,17 @@ def cmd_embed(config: RunConfig) -> int:
         report["energies"]["e_wf_in_lowlevel"] = result.e_wf
     with _writing(ham_path):
         result.hamiltonian.dump(ham_path)
-    with _writing(config.out), open(config.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    written = [ham_path]
+    try:
+        with _writing(config.out), open(config.out, "w") as fh:
+            written.append(config.out)
+            json.dump(report, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except InputError:
+        # a failed embed leaves no output: neither the Hamiltonian nor a report cut short
+        for path in written:
+            os.remove(path)
+        raise
     logging.getLogger(__name__).info("report written to %s; hamiltonian to %s", config.out, ham_path)
     return EXIT_OK
 

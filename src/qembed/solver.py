@@ -10,7 +10,10 @@ X mask. A group flips the alpha and the beta string of every state apart,
 so a state's partner is the pair of ranks of its two flipped strings, and
 the group's value on a state is a sum of signed Z phases whose sign factors
 into an alpha-string and a beta-string sign: the values of a group over the
-grid are one small matrix product of two sign tables. The determinant
+grid are one small matrix product of two sign tables. Only the upper
+triangle is stored, as COO arrays, and a sector that would need more than
+MAX_SECTOR_BYTES for them (16 bytes per stored entry plus 320 per state) is
+refused before any array of the entry count is allocated. The determinant
 route does its own MO transform and writes H through the alpha and beta
 replacement matrices E_kl = <I|a+_k a_l|J> of the same string-driven CI,
 one alpha string at a time. At S_z = 0 it splits H into the blocks even and
@@ -34,10 +37,10 @@ from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
-# a sector matrix needs 12 bytes per entry and 320 per state (see _assemble_sector_matrix),
-# so one under this limit has fewer than 1.8e8 entries and its CSR indices fit int32
+# a sector matrix needs 16 bytes per stored entry and 320 per state (see
+# _assemble_sector_matrix), checked before any entry-sized array; one under this
+# limit has fewer than 1.35e8 entries and 6.7e6 states, so int32 indexes both
 MAX_SECTOR_BYTES = 2 * 2**30
-CELL_BLOCK = 1 << 16  # (state, group) cells per sector-matrix block
 DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
 EIG_MAXITER = 500
@@ -88,30 +91,25 @@ def _partner_ranks(strings: np.ndarray, flips: np.ndarray) -> np.ndarray:
 def _assemble_sector_matrix(
     h: QubitHamiltonian, alphas: np.ndarray, betas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the Pauli sum onto the alpha × beta sector grid, as CSR (data, indices, indptr).
+    """The sector matrix's upper triangle as COO (rows, cols, data), rows and columns int32.
 
-    A word with an odd number of Y has imaginary elements, so a sum that holds
-    one is refused before anything is built. A group is the words of one x
-    mask, which flips the alpha and the beta string of a state apart: group g
-    takes state (a, b) to state ra[a, g] * n_beta + rb[b, g], from the ranks
-    of the two flipped strings (-1 outside the sector). Row s holds the value
-    at s of each group that flips s into the sector, in the partner's column,
-    so its columns are distinct. Every row's entry count is one product of the
-    two rank tables, so a matrix over MAX_SECTOR_BYTES is refused before
-    anything of its size is allocated.
+    A sum with an odd-Y word has imaginary elements and is refused before
+    anything is built. A group is the words of one x mask: it takes state
+    (a, b) to state ra[g, a] * n_beta + rb[g, b], from the ranks of the
+    flipped alpha and beta strings (-1 outside the sector). Each pair of
+    entries is stored once, in the row of the lower state: group g keeps
+    (a, b) where ra[g, a] > a or, when it flips no alpha bit, where
+    rb[g, b] >= b. No (row, col) pair appears twice, as the two states of an
+    entry differ by its group's x mask. The kept counts give the entry count,
+    so a matrix over MAX_SECTOR_BYTES is refused before anything of its size
+    is allocated.
 
-    A row's entries are in group order: by word count, then by x mask. The
-    grid is walked as many alpha strings at a time as fit in CELL_BLOCK
-    (state, group) cells, at least one, with every group at once, so the cells
-    that flip into the sector come out in CSR order and one running offset
-    places them. A cell's
-    value is sum_w f_w (-1)^|s∧z_w|, f_w the coefficient times the sign of
-    i^(number of Y). That sign is an alpha times a beta sign, so the values of
-    a group of k words are the product of an (alpha × k) and a (k × beta)
-    table. It is evaluated one alpha string at a time, the groups of k words
-    in one batched call: numpy hands a single row to a matrix-vector kernel,
-    whose rounding differs from the matrix-matrix one, so no value depends on
-    the block size.
+    An entry's value is sum_w f_w (-1)^|s∧z_w| at its row's state s, f_w the
+    coefficient times the sign of i^(number of Y). That sign is an alpha
+    times a beta sign, so a group of k words gives the product of a (kept
+    alpha × k) and a (k × kept beta) sign table. The kept counts of a flip
+    depend only on its popcount, so the groups of equal k and equal kept
+    counts form a few classes, each one batched product into the output.
     """
     x, z = h.x.astype(np.int64), h.z.astype(np.int64)
     n_y = np.bitwise_count(x & z)
@@ -119,78 +117,76 @@ def _assemble_sector_matrix(
         raise InputError("Hamiltonian is not real in the occupation basis: "
                          "a word has an odd number of Y")
     order = np.argsort(x, kind="stable")
-    x, z, factors = x[order], z[order], np.where(n_y % 4 == 0, h.coeffs, -h.coeffs)[order]
-    _, starts, sizes = np.unique(x, return_index=True, return_counts=True)
-    by_size = np.argsort(sizes, kind="stable")   # the starts ascend in x already
-    starts, sizes = starts[by_size], sizes[by_size]
+    z, factors = z[order], np.where(n_y % 4 == 0, h.coeffs, -h.coeffs)[order]
+    flips, starts, sizes = np.unique(x[order], return_index=True, return_counts=True)
 
     alpha_mask = sum(1 << q for q in range(0, h.n_qubits, 2))
-    ra = _partner_ranks(alphas, x[starts] & alpha_mask).T
-    rb = _partner_ranks(betas, x[starts] & ~alpha_mask).T
-    n_beta, n_groups = len(betas), len(starts)
+    ra = _partner_ranks(alphas, flips & alpha_mask)
+    rb = _partner_ranks(betas, flips & ~alpha_mask)
+    n_beta = len(betas)
     dim = len(alphas) * n_beta
-    # float, as BLAS has no integer product; the counts are far below 2^53
-    per_row = ((ra >= 0).astype(float) @ (rb >= 0).T).astype(np.int64).ravel()
-    nnz = int(per_row.sum())
-    # 12 bytes per entry (float64 value, int32 column), 8 per (word, beta string)
-    # sign and about 40 vectors of the sector dimension (build buffers and eigensolver)
-    needed = 12 * nnz + 8 * len(x) * n_beta + 8 * 40 * dim
+    # ra[g, a] == a exactly when g flips no alpha bit, and only then are the beta strings halved
+    keep_a = ra >= np.arange(len(alphas))
+    keep_b = rb >= np.where(flips[:, None] & alpha_mask, 0, np.arange(n_beta))
+    n_a, n_b = keep_a.sum(1), keep_b.sum(1)
+    nnz = int(n_a @ n_b)
+    # 16 bytes per entry (float64 value, int32 row and column) and about 40
+    # vectors of the sector dimension (eigensolver)
+    needed = 16 * nnz + 8 * 40 * dim
     if needed > MAX_SECTOR_BYTES:
         raise InputError(
             f"sector of dimension {dim} needs {needed / 2**20:.0f} MB for its sparse "
             f"matrix, over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit"
         )
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(per_row, out=indptr[1:])
-    indices = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz)
-    if not n_groups:
-        return data, indices, indptr.astype(np.int32)
-
-    # per word count k: the (group, word) indices and (group, 1, word, beta) signs (-1)^|s∧z|
-    words = [starts[sizes == k][:, None] + np.arange(k) for k in np.unique(sizes)]
-    b_tables = [_signs(z[w][:, None, :, None] & betas) for w in words]
-    per_block = max(1, CELL_BLOCK // (n_groups * n_beta))
+    rows, cols, data = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32), np.empty(nnz)
+    classes, of_class = np.unique(np.c_[sizes, n_a, n_b], axis=0, return_inverse=True)
     at = 0
-    for a in range(0, len(alphas), per_block):
-        block = alphas[a:a + per_block, None]
-        # (group, alpha, 1, word) @ (group, 1, word, beta): one row per product
-        vals = np.concatenate([
-            np.matmul((_signs(z[w][:, None] & block) * factors[w][:, None])[:, :, None], b)
-            for w, b in zip(words, b_tables)
-        ]).reshape(n_groups, -1)
-        ra_block = ra[a:a + per_block, None]
-        # the (state, group) cells of the block that flip into the sector, state-major
-        cell = np.flatnonzero((ra_block >= 0) & (rb >= 0))
-        indices[at:at + len(cell)] = (ra_block * n_beta + rb).ravel()[cell]
-        data[at:at + len(cell)] = vals.T.ravel()[cell]
-        at += len(cell)
-    return data, indices, indptr.astype(np.int32)
+    for c, (k, na, nb) in enumerate(classes.tolist()):
+        groups = np.flatnonzero(of_class == c)
+        size = len(groups) * na * nb
+        if not size:
+            continue
+        words = starts[groups][:, None] + np.arange(k)
+        zw = z[words]
+        ia = np.nonzero(keep_a[groups])[1].reshape(-1, na)  # [group, i]: rank of kept alpha i
+        ib = np.nonzero(keep_b[groups])[1].reshape(-1, nb)
+        cells = (len(groups), na, nb)
+        # (group, alpha, word) @ (group, word, beta)
+        np.matmul(_signs(alphas[ia][:, :, None] & zw[:, None]) * factors[words][:, None],
+                  _signs(zw[:, :, None] & betas[ib][:, None]), out=data[at:at + size].reshape(cells))
+        np.add(ia[:, :, None] * n_beta, ib[:, None], out=rows[at:at + size].reshape(cells))
+        np.add(np.take_along_axis(ra[groups], ia, 1)[:, :, None] * n_beta,
+               np.take_along_axis(rb[groups], ib, 1)[:, None], out=cols[at:at + size].reshape(cells))
+        at += size
+    return rows, cols, data
 
 
-def _dense_matrix(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """The CSR arrays as a dense array; a row's columns are distinct, so one assignment fills it."""
-    dim = len(indptr) - 1
-    mat = np.zeros((dim, dim))
-    mat[np.repeat(np.arange(dim), np.diff(indptr)), indices] = data
-    return mat
+def _lowest_eigenvalue(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int) -> float:
+    """Lowest eigenvalue of the upper-triangle COO matrix by LOBPCG with block size 1.
 
-
-def _lowest_eigenvalue(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> float:
-    """Lowest eigenvalue of the CSR matrix by LOBPCG with block size 1 and a Jacobi preconditioner.
-
-    scipy is imported here, so only this route pays for loading it. The
-    start is a seeded random unit vector, which overlaps every symmetry
-    block, plus the unit vector of the lowest diagonal entry. The residual
-    |Hv - Ev| must reach EIG_TOL * max(1, |E|), the bound ARPACK applies.
+    scipy is imported here, so only this route pays for loading it. H is
+    applied as U + U^T - diag U, U^T sharing U's arrays, with a Jacobi
+    preconditioner. The start is a seeded random unit vector, which overlaps
+    every symmetry block, plus the unit vector of the lowest diagonal entry.
+    The residual |Hv - Ev| must reach EIG_TOL * max(1, |E|), the bound ARPACK
+    applies.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
-    dim = len(indptr) - 1
-    mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    diag = mat.diagonal()
-    start = np.random.default_rng(EIG_SEED).standard_normal(len(diag))
+    upper = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim))
+    lower = upper.T
+    # by mask, as coo_matrix.diagonal also holds the shifted rows: 4 more bytes an entry
+    on = rows == cols
+    diag = np.zeros(dim)
+    diag[rows[on]] = data[on]
+
+    def apply(v):
+        v = v.reshape(dim, -1)
+        return upper @ v + lower @ v - diag[:, None] * v
+
+    mat = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
+    start = np.random.default_rng(EIG_SEED).standard_normal(dim)
     start /= np.linalg.norm(start)
     start[np.argmin(diag)] += 1.0
     precond = scipy.sparse.diags(1.0 / (diag - diag.min() + 0.1))
@@ -216,17 +212,19 @@ def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> flo
     """Lowest eigenvalue of the qubit Hamiltonian in the (n_electrons, s_z) sector.
 
     A sector of at most DENSE_CUTOFF states, or of fewer than 5, is
-    diagonalized densely; a larger one by LOBPCG.
+    diagonalized densely from its upper triangle; a larger one by LOBPCG.
     """
     n = h.n_qubits
     if n > MAX_QUBITS:
         raise InputError(f"{n} qubits exceeds the exact-diagonalization limit {MAX_QUBITS}")
     alphas, betas = _sector_basis(n, n_electrons, s_z)
-    csr = _assemble_sector_matrix(h, alphas, betas)
+    rows, cols, data = _assemble_sector_matrix(h, alphas, betas)
     dim = len(alphas) * len(betas)
     if dim <= DENSE_CUTOFF or dim < 5:
-        return float(np.linalg.eigvalsh(_dense_matrix(*csr))[0])
-    return _lowest_eigenvalue(*csr)
+        upper = np.zeros((dim, dim))
+        upper[rows, cols] = data
+        return float(np.linalg.eigvalsh(upper, UPLO="U")[0])
+    return _lowest_eigenvalue(rows, cols, data, dim)
 
 
 # --- determinant-space FCI oracle -----------------------------------------

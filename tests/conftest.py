@@ -14,6 +14,7 @@ from qembed.basis import build_basis
 from qembed.integrals import compute_integrals
 from qembed.molecule import Atom, Molecule, parse_xyz
 from qembed.scf import run_rhf
+from qembed.solver import _assemble_sector_matrix
 
 XYZ = {
     "h2": "2\n\nH 0 0 0\nH 0 0 0.7414",
@@ -92,6 +93,15 @@ XYZ = {
     ),
 }
 CHARGES = {"heh+": 1}
+
+
+def sector_matrix(ham, alphas, betas) -> np.ndarray:
+    """The whole sector matrix U + U^T - diag U, from the upper triangle U the solver builds."""
+    rows, cols, data = _assemble_sector_matrix(ham, alphas, betas)
+    dim = len(alphas) * len(betas)
+    upper = np.zeros((dim, dim))
+    upper[rows, cols] = data
+    return upper + upper.T - np.diag(upper.diagonal())
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import sector_matrix
 from hypothesis import strategies as st
 
 import qembed
@@ -29,7 +30,7 @@ from qembed.cli import (
 from qembed.embedding import same_level_energy
 from qembed.exceptions import ConvergenceError, InputError, ProjectionError
 from qembed.molecule import Atom, Molecule, parse_xyz
-from qembed.solver import _assemble_sector_matrix, _dense_matrix, _sector_basis, ground_state
+from qembed.solver import _sector_basis, ground_state
 
 WATER_XYZ = """3
 water
@@ -304,8 +305,7 @@ def _invariants(mol, active, localizer, spectrum):
                 same_level_energy(result.problem, result.scf_emb.gamma, result.integrals),
                 ground_state(ham, n_electrons=n_el, s_z=0)]
     if spectrum:
-        csr = _assemble_sector_matrix(ham, *_sector_basis(ham.n_qubits, n_el, 0.0))
-        energies.extend(np.linalg.eigvalsh(_dense_matrix(*csr)))
+        energies.extend(np.linalg.eigvalsh(sector_matrix(ham, *_sector_basis(ham.n_qubits, n_el, 0.0))))
     return np.array(energies)
 
 
@@ -587,13 +587,39 @@ def test_out_in_a_missing_directory_refused_before_integrals(tmp_path, water_fil
     ("embed", "out.hamiltonian.json"),
     ("scan", "out.json"),
 ])
-def test_unwritable_out_is_a_config_error_that_names_it(tmp_path, water_file, capsys, command,
-                                                        blocked):
-    # a directory where the file should be: open() fails after the run
+def test_unwritable_out_is_a_config_error_that_names_it(tmp_path, water_file, monkeypatch,
+                                                        capsys, command, blocked):
+    # a directory where the file should be is refused before any integral
+    import qembed.cli as cli
+
+    def integrals_ran(*args, **kwargs):
+        raise AssertionError("integrals ran")
+
+    monkeypatch.setattr(cli, "compute_integrals", integrals_ran)
     (tmp_path / blocked).mkdir()
     argv = _out_argv(command, water_file) + ["--out", str(tmp_path / "out.json")]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"error [config] cannot write {tmp_path / blocked}: ")
+    assert capsys.readouterr().err == (f"error [config] cannot write {tmp_path / blocked}: "
+                                       "it is a directory\n")
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "water.xyz", tmp_path / blocked])
+    assert not any((tmp_path / blocked).iterdir())
+
+
+def test_failed_report_write_leaves_no_output(tmp_path, water_file, monkeypatch, capsys):
+    # the report fails after the Hamiltonian file was written: both are removed
+    import qembed.cli as cli
+
+    out = tmp_path / "out.json"
+
+    def disk_full(*args, **kwargs):
+        assert (tmp_path / "out.hamiltonian.json").is_file()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", disk_full)
+    assert main(_out_argv("embed", water_file) + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error [config] cannot write {out}: "
+                                       "No space left on device\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "water.xyz"]
 
 
 def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch):

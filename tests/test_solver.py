@@ -1,9 +1,8 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse
+from conftest import sector_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,12 +32,6 @@ from qembed.solver import (
 def grid_states(alphas, betas):
     """The occupation bitstrings of the sector, in the solver's alpha-major order."""
     return (alphas[:, None] | betas).ravel()
-
-
-def sector_csr(ham, alphas, betas):
-    """The sector matrix as a scipy CSR matrix, built from the arrays the solver returns."""
-    dim = len(alphas) * len(betas)
-    return scipy.sparse.csr_matrix(_assemble_sector_matrix(ham, alphas, betas), shape=(dim, dim))
 
 
 @pytest.fixture
@@ -308,8 +301,8 @@ def test_methanol_20_qubit_sector(methanol):
         tracemalloc.stop()
     # frozen from an earlier ARPACK solve of this sector; the LOBPCG route must reproduce it
     assert energy == pytest.approx(-113.5991678215, abs=1e-9)
-    # 1.5 times the 365 MB measured, 354 MB of which is the CSR matrix
-    assert peak <= 550 * 2**20
+    # 1.5 times the 264 MB measured, 237 MB of which is the upper triangle's COO arrays
+    assert peak <= 400 * 2**20
 
 
 def test_sector_basis_memory():
@@ -330,7 +323,7 @@ def test_sector_basis_memory():
 def test_hamiltonian_without_terms(force_route):
     # 9 states, enough for the LOBPCG route
     ham = QubitHamiltonian.from_terms(6, [])
-    assert sector_csr(ham, *_sector_basis(6, 2, 0)).nnz == 0
+    assert all(len(part) == 0 for part in _assemble_sector_matrix(ham, *_sector_basis(6, 2, 0)))
     force_route("sparse")
     assert ground_state(ham, n_electrons=2, s_z=0) == 0.0
 
@@ -373,7 +366,7 @@ def test_fci_orbital_limit(water):
 
 def test_ground_state_energy_below_diagonal(h2):
     ham = full_jw(h2)
-    mat = sector_csr(ham, *_sector_basis(4, 2, 0.0)).toarray()
+    mat = sector_matrix(ham, *_sector_basis(4, 2, 0.0))
     gs = ground_state(ham, n_electrons=2, s_z=0)
     assert gs <= np.diag(mat).min() + 1e-12
 
@@ -422,35 +415,38 @@ def test_sector_matrix_is_dense_matrix_restricted(case):
         return
     block = dense_matrix(ham)[np.ix_(states, states)]
     assert np.abs(block.imag).max() <= 1e-12
-    # the default blocks, and one alpha string per block; a function-scoped
-    # monkeypatch would outlive the examples Hypothesis runs in one test call
-    for cell_block in (qembed.solver.CELL_BLOCK, 1):
-        with mock.patch.object(qembed.solver, "CELL_BLOCK", cell_block):
-            arrays = _assemble_sector_matrix(ham, alphas, betas)
-        mat = scipy.sparse.csr_matrix(arrays, shape=block.shape).toarray()
-        assert np.abs(mat - block.real).max() <= 1e-12
-        # the dense route fills its array from the same arrays with one assignment
-        assert np.array_equal(qembed.solver._dense_matrix(*arrays), mat)
+    assert_upper_triangle(*_assemble_sector_matrix(ham, alphas, betas), len(states))
+    assert np.abs(sector_matrix(ham, alphas, betas) - block.real).max() <= 1e-12
 
 
-@pytest.mark.parametrize("per_block", ["one", "four", "all"])
-@pytest.mark.parametrize("name, active, localizer", [
-    ("water", (0, 2), "spade"),
-    ("ch4", (0, 1, 2, 3), "population"),
+def assert_upper_triangle(rows, cols, data, dim):
+    """Int32 indices within the sector, every entry on or above the diagonal, no pair twice."""
+    assert rows.dtype == cols.dtype == np.int32 and len(rows) == len(cols) == len(data)
+    assert np.all((0 <= rows) & (rows <= cols) & (cols < dim))
+    assert len(np.unique(rows.astype(np.int64) * dim + cols)) == len(rows)
+
+
+@pytest.mark.parametrize("name, active, localizer, whole", [
+    ("water", (0, 2), "spade", 11_525),
+    ("ch4", (0, 1, 2, 3), "population", 1_612_900),
 ])
-def test_sector_matrix_block_seams(name, active, localizer, per_block, request, monkeypatch):
-    # blocks of one alpha string, of four with an uneven last block, and of
-    # every alpha string give the CSR arrays of the default blocks to the bit
+def test_sector_matrix_is_an_upper_triangle(name, active, localizer, whole, request):
+    # whole: the entries of both triangles, as a build that stored them all counted them;
+    # the upper triangle keeps each diagonal entry and one entry of each off-diagonal pair
     ham, n_e = embedded_jw(request.getfixturevalue(name), active, localizer)
     alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
-    whole = _assemble_sector_matrix(ham, alphas, betas)
-    n_block = {"one": 1, "four": 4, "all": len(alphas)}[per_block]
-    assert per_block != "four" or len(alphas) % n_block
-    # an alpha string's (state, group) cells: one group per x mask
-    monkeypatch.setattr(qembed.solver, "CELL_BLOCK", n_block * len(np.unique(ham.x)) * len(betas))
-    seamed = _assemble_sector_matrix(ham, alphas, betas)
-    for part, seamed_part in zip(whole, seamed, strict=True):   # data, indices, indptr
-        assert np.array_equal(part, seamed_part)
+    rows, cols, data = _assemble_sector_matrix(ham, alphas, betas)
+    assert_upper_triangle(rows, cols, data, len(alphas) * len(betas))
+    assert 2 * len(data) - np.count_nonzero(rows == cols) == whole
+
+
+def test_lobpcg_route_matches_dense_route_on_embedded_water(water, force_route):
+    # the 225-state sector of the README embed, by both routes
+    ham, n_e = embedded_jw(water, (0, 1))
+    assert len(grid_states(*_sector_basis(ham.n_qubits, n_e, 0))) == 225
+    dense = ground_state(ham, n_electrons=n_e, s_z=0)
+    force_route("sparse")
+    assert ground_state(ham, n_electrons=n_e, s_z=0) == pytest.approx(dense, abs=1e-10)
 
 
 def test_embedded_water_sector_is_dense_matrix_restricted(water):
@@ -460,7 +456,7 @@ def test_embedded_water_sector_is_dense_matrix_restricted(water):
     states = grid_states(*basis)
     block = dense_matrix(ham)[np.ix_(states, states)]
     assert np.abs(block.imag).max() <= 1e-12
-    assert np.abs(sector_csr(ham, *basis).toarray() - block.real).max() <= 1e-12
+    assert np.abs(sector_matrix(ham, *basis) - block.real).max() <= 1e-12
 
 
 def test_odd_y_word_not_real_in_sector():
