@@ -1,7 +1,10 @@
 """MO-basis integrals, second quantization, and the Jordan-Wigner mapping.
 
 Spin orbitals are interleaved: qubit 2p is the alpha spin of spatial
-orbital p, qubit 2p+1 the beta spin. Pauli strings, the finished Hamiltonian
+orbital p, qubit 2p+1 the beta spin. A fermion operator is a sum of rows
+c (T + T+) / 2, one per Hermitian pair, which second quantization writes in
+closed form from the integrals and the Jordan-Wigner map expands to the
+even-Y strings of c T. Pauli strings, the finished Hamiltonian
 included, are carried as arrays of uint64 symplectic masks (x, z) for the
 operator X^x Z^z with a real phase, so a product of ladder operators reduces
 to bit arithmetic over all terms at once; this caps the map at 64 qubits.
@@ -11,6 +14,7 @@ Pauli words, qubit 0 first, are spelled out only for export (`terms`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +65,13 @@ def mo_transform(h_ao: np.ndarray, eri_ao: np.ndarray, c_red: np.ndarray,
 
 @dataclass(frozen=True)
 class FermionOperator:
-    """constant + sum of coeffs[t] a+_i ... a_l over the rows of each product.
+    """constant + sum of coeffs[t] (T_t + T_t+) / 2, T_t = a+_i ... a_l a row of a product.
 
     products holds (indices, coeffs) pairs: a (T, 2k) spin-orbital index
-    array, creators in the first k columns, and its (T,) coefficients. len()
-    is the number of terms, the constant counted when nonzero.
+    array, creators in the first k columns, and its (T,) coefficients. A
+    Hermitian operator written out in full, each term on its own row, is
+    itself; `second_quantize` writes one row per Hermitian pair. len() is the
+    number of rows, the constant counted when nonzero.
     """
 
     constant: float
@@ -76,31 +82,49 @@ class FermionOperator:
 
 
 def second_quantize(mo: MOIntegrals) -> FermionOperator:
-    """Expand the electronic Hamiltonian over interleaved spin orbitals.
+    """The electronic Hamiltonian over interleaved spin orbitals, one row per Hermitian pair.
 
-    Integrals below PRUNE_THRESHOLD are dropped. The two-electron part uses
-    the chemists'-index identity 1/2 (pq|rs) a+_ps a+_rt a_st a_qs summed
-    over spins s, t, without the terms that vanish (i == j or k == l). The
-    row of (pq|rs) with spins (s, t) and the row of (rs|pq) with spins (t, s)
-    are the same product, so one row is emitted per pair pq <= rs (pq = p M + q),
-    with the two coefficients summed.
+    H = c + sum h_pq a+_ps a_qs + 1/2 sum (pq|rs) a+_ps a+_rt a_st a_qs over
+    spins s, t. Spin orbital i = 2p + s. The one-body rows are a+_i a_j with
+    i <= j and equal spins, coefficient h_pq, doubled when i != j. The
+    two-body rows are a+_a a+_b a_c a_d with a > b, c > d and (a, b) <= (c, d)
+    among the pairs of one spin kind (alpha-alpha, beta-beta or mixed); the
+    coefficient is the antisymmetrized integral
+    (ad|bc)' [s_a = s_d, s_b = s_c] - (ac|bd)' [s_a = s_c, s_b = s_d], with
+    (pq|rs)' = ((pq|rs) + (rs|pq)) / 2, doubled unless (a, b) = (c, d)
+    (Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure Theory, 1.4).
+    A row and its conjugate then carry the same coefficient, which holds when
+    h = h^T and g = g.transpose(1, 0, 3, 2); integrals further from that than
+    IMAG_TOLERANCE raise ValueError. Entries of h and of (pq|rs) / 2, then row
+    coefficients, below PRUNE_THRESHOLD are dropped.
     """
-    m = mo.n_orbitals
-    p, q = np.nonzero(np.abs(mo.h) >= PRUNE_THRESHOLD)
-    one_body = (2 * np.stack([p, q], axis=-1)[:, None] + np.arange(2)[:, None]).reshape(-1, 2)
-    one_coeffs = np.repeat(mo.h[p, q], 2)
-    half_g = 0.5 * mo.g.reshape(m * m, m * m)
+    mismatch = max(np.abs(mo.h - mo.h.T).max(initial=0.0),
+                   np.abs(mo.g - mo.g.transpose(1, 0, 3, 2)).max(initial=0.0))
+    if mismatch > IMAG_TOLERANCE:
+        raise ValueError(f"non-Hermitian integrals: an entry and its conjugate differ "
+                         f"by {mismatch:.3g}")
+    h = np.where(np.abs(mo.h) >= PRUNE_THRESHOLD, mo.h, 0.0)
+    half_g = 0.5 * mo.g
     half_g[np.abs(half_g) < PRUNE_THRESHOLD] = 0.0
-    pairs = np.triu(half_g) + np.tril(half_g, -1).T
-    pq, rs = np.nonzero(pairs)
-    (p, q), (r, s) = np.divmod(pq, m), np.divmod(rs, m)
-    sp, tp = np.divmod(np.arange(4), 2)  # the spins of p and r
-    two_body = (2 * np.stack([p, r, s, q], axis=-1)[:, None]
-                + np.stack([sp, tp, tp, sp], axis=-1)).reshape(-1, 4)
-    keep = (two_body[:, 0] != two_body[:, 1]) & (two_body[:, 2] != two_body[:, 3])
-    return FermionOperator(float(mo.constant), (
-        (one_body, one_coeffs), (two_body[keep], np.repeat(pairs[pq, rs], 4)[keep])))
-
+    g = half_g + half_g.transpose(2, 3, 0, 1)
+    n = 2 * mo.n_orbitals
+    i, j = np.triu_indices(n)
+    i, j = i[i % 2 == j % 2], j[i % 2 == j % 2]
+    a, b = np.tril_indices(n, -1)  # every pair a > b, in lexicographic order
+    kind = a % 2 + b % 2  # the number of beta spin orbitals in the pair
+    # pair first at or before pair second, both of one kind
+    first, second = np.concatenate([pair[np.stack(np.triu_indices(len(pair)))]
+                                    for pair in (np.flatnonzero(kind == k) for k in range(3))], axis=1)
+    abcd = np.stack([a[first], b[first], a[second], b[second]])
+    (p, r, s, q), spin = abcd >> 1, abcd & 1
+    rows = [np.stack([i, j], axis=-1), abcd.T]
+    coeffs = [np.where(i == j, 1.0, 2.0) * h[i // 2, j // 2],
+              np.where(first == second, 1.0, 2.0) * (
+                  np.where((spin[0] == spin[3]) & (spin[1] == spin[2]), g[p, q, r, s], 0.0)
+                  - np.where((spin[0] == spin[2]) & (spin[1] == spin[3]), g[p, s, r, q], 0.0))]
+    keep = [np.abs(c) >= PRUNE_THRESHOLD for c in coeffs]
+    return FermionOperator(float(mo.constant),
+                           tuple((r[k], c[k]) for r, c, k in zip(rows, coeffs, keep)))
 
 @dataclass(frozen=True, eq=False)
 class QubitHamiltonian:
@@ -174,12 +198,19 @@ class QubitHamiltonian:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitHamiltonian":
-        """Read the to_json_dict() layout; a missing or mistyped field raises InputError."""
+        """Read the to_json_dict() layout; a missing or mistyped field raises InputError.
+
+        n_qubits must be an int (not a bool), and every coefficient finite.
+        """
         try:
-            n = int(data["n_qubits"])
+            n = data["n_qubits"]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise TypeError(f"n_qubits {n!r} is not an integer")
             terms = [(t["pauli"], float(t["coeff"])) for t in data["terms"]]
             if data.get("constant", 0.0) != 0.0:
                 terms.append(("I" * n, float(data["constant"])))
+            if not all(math.isfinite(c) for _, c in terms):
+                raise ValueError("a coefficient is not finite")
             return cls.from_terms(n, terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed Hamiltonian ({type(exc).__name__}: {exc})") from None
@@ -263,73 +294,29 @@ def _merge(xs: list, zs: list, phases: list):
     return x[starts], z[starts], np.add.reduceat(phase, starts)
 
 
-def _hermitian_pairs(indices: np.ndarray, coeffs: np.ndarray):
-    """One row per Hermitian pair among products of one width, with its coefficient.
-
-    Creators and annihilators are each sorted into descending order with the
-    sign of the permutation, rows that repeat a creator or an annihilator are
-    dropped (they are zero), and equal rows are summed under an int64 key of 6
-    bits per index. The conjugate T+ of a row T is the key with its two halves
-    swapped. The even-Y strings of T are (T + T+)/2, so a pair becomes the row
-    with the smaller key and the coefficient c_T + c_T+, and a self-conjugate
-    row keeps c_T. Raises ValueError when |c_T - c_T+| exceeds IMAG_TOLERANCE.
-    """
-    n, width = indices.shape
-    k = width // 2
-    cols = [indices[:, i].astype(np.uint8) for i in range(width)]
-    sign = np.ones(n)
-    for lo in (0, k):  # bubble-sort each half, one sign flip per swap
-        for end in range(lo + k - 1, lo, -1):
-            for i in range(lo, end):
-                swap = cols[i] < cols[i + 1]
-                sign[swap] = -sign[swap]
-                cols[i], cols[i + 1] = np.maximum(cols[i], cols[i + 1]), np.minimum(cols[i], cols[i + 1])
-    nonzero = np.ones(n, dtype=bool)
-    keys = np.zeros(n, dtype=np.int64)
-    for i, col in enumerate(cols):
-        if i % k:
-            nonzero &= col != cols[i - 1]
-        keys = keys << 6 | col
-    keys, inverse = np.unique(keys[nonzero], return_inverse=True)
-    c = np.bincount(inverse, weights=(sign * coeffs)[nonzero], minlength=len(keys))
-    low = (1 << 6 * k) - 1
-    conj = (keys >> 6 * k) | ((keys & low) << 6 * k)
-    pos = np.minimum(np.searchsorted(keys, conj), len(keys) - 1)
-    c_conj = np.where(keys[pos] == conj, c[pos], 0.0)
-    mismatch = np.abs(c - c_conj).max(initial=0.0)
-    if mismatch > IMAG_TOLERANCE:
-        raise ValueError(f"non-Hermitian input: a fermion term and its conjugate differ by {mismatch:.3g}")
-    kept = keys <= conj
-    coeffs = np.where(keys < conj, c + c_conj, c)[kept]
-    shifts = 6 * np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (keys[kept, None] >> shifts) & 63, coeffs
-
-
 def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
-    """Map a Hermitian fermionic operator to a combined, pruned Pauli decomposition.
+    """Map a fermionic operator to a combined, pruned Pauli decomposition.
 
-    Product blocks of equal width are joined and reduced to one row per
-    Hermitian pair (`_hermitian_pairs`), which also rejects a non-Hermitian
-    input. Each row expands to its even-Y strings only, JW_BLOCK strings at a
-    time, which bounds the expansion temporaries. The strings of all blocks are
-    then merged once: one sort sums equal strings. A product has equal numbers
-    of creators and annihilators, at most 5 of each.
+    A row c T stands for c (T + T+) / 2, and those are exactly the strings of
+    c T with an even number of Y: the odd ones change sign under the
+    conjugation. So each row expands to its even-Y strings only, JW_BLOCK
+    strings at a time, which bounds the expansion temporaries. The strings of
+    all blocks are then merged once: one sort sums equal strings. A product
+    has equal numbers of creators and annihilators, at most 5 of each, so a
+    row expands to at most 1,024 strings.
     """
     if n_qubits > MAX_JW_QUBITS:
         raise InputError(f"{n_qubits} qubits exceeds the Jordan-Wigner limit {MAX_JW_QUBITS}")
-    by_width: dict[int, list] = {}
-    for indices, coeffs in ops.products:
-        if indices.shape[1] % 2 or indices.shape[1] > 10:
-            raise ValueError(f"product of {indices.shape[1]} ladder operators: "
-                             "at most 5 creators, then as many annihilators")
-        if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
-            raise ValueError(f"spin orbital index outside {n_qubits} qubits")
-        by_width.setdefault(indices.shape[1], []).append((indices, coeffs))
     # the constant, then the even-Y strings of every block, summed by one merge
     xs, zs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
     phases = [np.array([float(ops.constant)])]
-    for width, blocks in sorted(by_width.items()):
-        indices, coeffs = _hermitian_pairs(*(np.concatenate(part) for part in zip(*blocks)))
+    for indices, coeffs in ops.products:
+        width = indices.shape[1]
+        if width % 2 or width > 10:
+            raise ValueError(f"product of {width} ladder operators: "
+                             "at most 5 creators, then as many annihilators")
+        if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
+            raise ValueError(f"spin orbital index outside {n_qubits} qubits")
         step = max(1, JW_BLOCK >> width)
         for lo in range(0, len(indices), step):
             bx, bz, bp = _ladder_products(indices[lo:lo + step], coeffs[lo:lo + step])

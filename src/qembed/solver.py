@@ -12,8 +12,9 @@ the group's value on a state is a sum of signed Z phases whose sign factors
 into an alpha-string and a beta-string sign: the values of a group over the
 grid are one small matrix product of two sign tables. Only the upper
 triangle is stored, as COO arrays, and a sector that would need more than
-MAX_SECTOR_BYTES for them (16 bytes per stored entry plus 320 per state) is
-refused before any array of the entry count is allocated. The determinant
+MAX_SECTOR_BYTES for them and the build's transients (17 bytes per stored
+entry, 32 per sign-table cell of the largest class of groups, 320 per state)
+is refused before any array of the entry count is allocated. The determinant
 route does its own MO transform and writes H through the alpha and beta
 replacement matrices E_kl = <I|a+_k a_l|J> of the same string-driven CI,
 one alpha string at a time. At S_z = 0 it splits H into the blocks even and
@@ -37,9 +38,10 @@ from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
 MAX_QUBITS = 24
-# a sector matrix needs 16 bytes per stored entry and 320 per state (see
-# _assemble_sector_matrix), checked before any entry-sized array; one under this
-# limit has fewer than 1.35e8 entries and 6.7e6 states, so int32 indexes both
+# a sector matrix needs 17 bytes per stored entry and 320 per state, and more
+# for its sign tables (see _assemble_sector_matrix), checked before any
+# entry-sized array; one under this limit has fewer than 1.27e8 entries and
+# 6.7e6 states, so int32 indexes both
 MAX_SECTOR_BYTES = 2 * 2**30
 DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
@@ -100,9 +102,9 @@ def _assemble_sector_matrix(
     entries is stored once, in the row of the lower state: group g keeps
     (a, b) where ra[g, a] > a or, when it flips no alpha bit, where
     rb[g, b] >= b. No (row, col) pair appears twice, as the two states of an
-    entry differ by its group's x mask. The kept counts give the entry count,
-    so a matrix over MAX_SECTOR_BYTES is refused before anything of its size
-    is allocated.
+    entry differ by its group's x mask. The kept counts give the entry count
+    and the size of every sign table, so a matrix over MAX_SECTOR_BYTES is
+    refused before anything of its size is allocated.
 
     An entry's value is sum_w f_w (-1)^|s∧z_w| at its row's state s, f_w the
     coefficient times the sign of i^(number of Y). That sign is an alpha
@@ -130,16 +132,20 @@ def _assemble_sector_matrix(
     keep_b = rb >= np.where(flips[:, None] & alpha_mask, 0, np.arange(n_beta))
     n_a, n_b = keep_a.sum(1), keep_b.sum(1)
     nnz = int(n_a @ n_b)
-    # 16 bytes per entry (float64 value, int32 row and column) and about 40
-    # vectors of the sector dimension (eigensolver)
-    needed = 16 * nnz + 8 * 40 * dim
+    classes, of_class = np.unique(np.c_[sizes, n_a, n_b], axis=0, return_inverse=True)
+    # the (group, kept string, word) cells of one class's alpha and beta sign tables
+    cells = np.bincount(of_class, minlength=len(classes)) * classes[:, 0] * classes[:, 1:].sum(1)
+    # per entry 16 bytes (float64 value, int32 row and column) and the 1-byte
+    # diagonal mask of _lowest_eigenvalue; 32 bytes per cell of the largest
+    # class's sign tables and their temporaries (19-26 measured by tracemalloc);
+    # and about 40 vectors of the sector dimension (eigensolver)
+    needed = 17 * nnz + 32 * int(cells.max(initial=0)) + 8 * 40 * dim
     if needed > MAX_SECTOR_BYTES:
         raise InputError(
             f"sector of dimension {dim} needs {needed / 2**20:.0f} MB for its sparse "
             f"matrix, over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit"
         )
     rows, cols, data = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32), np.empty(nnz)
-    classes, of_class = np.unique(np.c_[sizes, n_a, n_b], axis=0, return_inverse=True)
     at = 0
     for c, (k, na, nb) in enumerate(classes.tolist()):
         groups = np.flatnonzero(of_class == c)

@@ -212,15 +212,17 @@ def test_jw_canonicalizes_noncanonical_hermitian_input(seed, n_modes, n_terms):
 @pytest.mark.parametrize("mismatch", [1.5 * IMAG_TOLERANCE, -1.5 * IMAG_TOLERANCE,
                                       0.5 * IMAG_TOLERANCE, -0.5 * IMAG_TOLERANCE])
 def test_jw_conjugate_mismatch_at_tolerance(mismatch):
-    # a+_2 a+_0 a_1 a_3 and its conjugate a+_3 a+_1 a_0 a_2
-    rows = np.array([[2, 0, 1, 3], [3, 1, 0, 2]])
-    ops = FermionOperator(0.0, ((rows, np.array([0.5, 0.5 + mismatch])),))
+    # (01|11) against its conjugate (10|11): second_quantize checks the integrals
+    mo = random_integrals(0, 2, 0.0)
+    g = mo.g.copy()
+    g[0, 1, 1, 1] += mismatch
+    perturbed = MOIntegrals(h=mo.h, g=g)
     if abs(mismatch) > IMAG_TOLERANCE:
         with pytest.raises(ValueError, match="non-Hermitian"):
-            jordan_wigner(ops, 4)
+            second_quantize(perturbed)
         return
-    expected = jordan_wigner(FermionOperator(0.0, ((rows, np.array([0.5, 0.5])),)), 4).terms
-    terms = jordan_wigner(ops, 4).terms
+    expected = jordan_wigner(second_quantize(mo), 4).terms
+    terms = jordan_wigner(second_quantize(perturbed), 4).terms
     assert terms.keys() == expected.keys()
     assert max(abs(terms[w] - expected[w]) for w in expected) <= IMAG_TOLERANCE
 
@@ -235,8 +237,8 @@ def test_jw_hermitian_pair_split_across_blocks():
     split = jordan_wigner(FermionOperator(0.0, (term, conj)), 4).terms
     assert split == jordan_wigner(FermionOperator(0.0, (joined,)), 4).terms
     assert len(split) == 8
-    with pytest.raises(ValueError, match="non-Hermitian"):
-        jordan_wigner(FermionOperator(0.0, (term,)), 4)
+    # a lone row stands for its Hermitian part: T with 0.5 maps as T and T+ with 0.25
+    assert jordan_wigner(FermionOperator(0.0, ((term[0], 2 * term[1]),)), 4).terms == split
 
 
 def test_jw_hermitian_and_real(water):
@@ -245,9 +247,10 @@ def test_jw_hermitian_and_real(water):
     assert all(isinstance(c, float) for c in ham.terms.values())
 
 
-def test_jw_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="non-Hermitian"):
-        jordan_wigner(one_body_operator([[0, 1]], [1.0]), 2)  # a0+ a1 alone
+def test_jw_maps_lone_row_to_hermitian_part():
+    # a+_0 a_1 alone stands for (a+_0 a_1 + a+_1 a_0) / 2
+    ham = jordan_wigner(one_body_operator([[0, 1]], [1.0]), 2)
+    assert ham.terms == {"XX": pytest.approx(0.25), "YY": pytest.approx(0.25)}
 
 
 def test_jw_qubit_and_index_limits():
@@ -317,14 +320,18 @@ def test_merge_packed_key_and_lexsort_agree_bitwise(monkeypatch, top_bit):
 
 
 def _all_images(mo):
-    """Two-body rows of every (pq|rs) and its (rs|pq) image, each on its own row."""
+    """Every term of H on its own row: h_pq a+_ps a_qs, and 1/2 (pq|rs) a+_ps a+_rt a_st a_qs."""
+    threshold = qembed.qubits.PRUNE_THRESHOLD
+    p, q = np.nonzero(np.abs(mo.h) >= threshold)
+    one_body = ((2 * np.stack([p, q], axis=-1)[:, None] + np.arange(2)[:, None]).reshape(-1, 2),
+                np.repeat(mo.h[p, q], 2))
     half_g = 0.5 * mo.g
-    p, q, r, s = np.nonzero(np.abs(half_g) >= qembed.qubits.PRUNE_THRESHOLD)
+    p, q, r, s = np.nonzero(np.abs(half_g) >= threshold)
     sp, tp = np.divmod(np.arange(4), 2)
     rows = (2 * np.stack([p, r, s, q], axis=-1)[:, None]
             + np.stack([sp, tp, tp, sp], axis=-1)).reshape(-1, 4)
     keep = (rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])
-    return rows[keep], np.repeat(half_g[p, q, r, s], 4)[keep]
+    return one_body, (rows[keep], np.repeat(half_g[p, q, r, s], 4)[keep])
 
 
 @pytest.mark.parametrize("name", ["water", "methanol"])
@@ -333,16 +340,21 @@ def test_second_quantize_one_row_per_image_pair(request, name):
     mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C,
                       constant=nuclear_repulsion(system.mol))
     ops = second_quantize(mo)
-    images = _all_images(mo)
-    # an image pair (pq|rs), (rs|pq) with pq != rs is one row instead of two
-    orbitals = images[0] // 2
-    diagonal = np.count_nonzero((orbitals[:, 0] == orbitals[:, 1]) & (orbitals[:, 2] == orbitals[:, 3]))
-    assert 2 * len(ops.products[1][1]) == len(images[1]) + diagonal
+    by_width = {}
+    for indices, _ in ops.products:
+        by_width.setdefault(indices.shape[1], []).append(indices)
+    # a+_i a_j with i <= j; a+_a a+_b a_c a_d with a > b, c > d and (a, b) <= (c, d)
+    i, j = np.concatenate(by_width[2]).T
+    assert np.all(i <= j) and np.all(i % 2 == j % 2)
+    a, b, c, d = np.concatenate(by_width[4]).T
+    assert np.all((a > b) & (c > d) & ((a < c) | ((a == c) & (b <= d))))
+    for rows in map(np.concatenate, by_width.values()):
+        assert len(np.unique(rows, axis=0)) == len(rows)
     n = 2 * mo.n_orbitals
-    halved = jordan_wigner(ops, n).terms
-    every = jordan_wigner(FermionOperator(ops.constant, (ops.products[0], images)), n).terms
-    assert halved.keys() == every.keys()
-    assert max(abs(halved[w] - every[w]) for w in every) <= 1e-12
+    paired = jordan_wigner(ops, n).terms
+    every = jordan_wigner(FermionOperator(ops.constant, _all_images(mo)), n).terms
+    assert paired.keys() == every.keys()
+    assert max(abs(paired[w] - every[w]) for w in every) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -370,23 +382,24 @@ def test_h2_term_count_is_fifteen(h2):
 def test_h2_fermionic_term_count_matches_enumeration(h2):
     mo = mo_transform(h2.ints.h_core, h2.ints.eri, h2.scf.C)
     count = 0
-    for p in range(2):
-        for q in range(2):
-            if abs(mo.h[p, q]) > 1e-12:
-                count += 2  # alpha and beta
-    for p in range(2):
-        for q in range(2):
-            for r in range(2):
-                for s_ in range(2):
-                    # one row per {(pq|rs), (rs|pq)} pair: pq <= rs
-                    if abs(mo.g[p, q, r, s_]) < 1e-12 or 2 * p + q > 2 * r + s_:
-                        continue
-                    for sp in range(2):
-                        for tp in range(2):
-                            i, j = 2 * p + sp, 2 * r + tp
-                            k, l = 2 * s_ + tp, 2 * q + sp
-                            if i != j and k != l:
-                                count += 1
+    for i in range(4):
+        for j in range(i, 4):
+            # a+_i a_j with i <= j, spin conserved
+            if i % 2 == j % 2 and abs(mo.h[i // 2, j // 2]) >= 1e-12:
+                count += 1
+
+    def g(a, b, c, d):
+        """(ab|cd)' of spin orbitals: the spatial integral when the spins pair up, else 0."""
+        if a % 2 != b % 2 or c % 2 != d % 2:
+            return 0.0
+        return 0.5 * (mo.g[a // 2, b // 2, c // 2, d // 2] + mo.g[c // 2, d // 2, a // 2, b // 2])
+
+    pairs = [(a, b) for a in range(4) for b in range(a)]
+    for a, b in pairs:
+        for c, d in pairs:
+            # a+_a a+_b a_c a_d with a > b, c > d and (a, b) <= (c, d)
+            if (a, b) <= (c, d) and abs(g(a, d, b, c) - g(a, c, b, d)) >= 1e-12:
+                count += 1
     assert len(second_quantize(mo)) == count
 
 
@@ -468,9 +481,14 @@ def test_from_json_rejects_malformed_words(word):
     {"n_qubits": 1, "terms": [{"coeff": 1.0}]},
     {"terms": [{"pauli": "Z", "coeff": 1.0}]},
     {"n_qubits": 1, "terms": {"pauli": "Z", "coeff": 1.0}},
+    {"n_qubits": 1, "constant": float("nan"), "terms": [{"pauli": "Z", "coeff": 1.0}]},
+    {"n_qubits": 1, "terms": [{"pauli": "Z", "coeff": "inf"}]},
+    {"n_qubits": 2.7, "terms": [{"pauli": "ZZ", "coeff": 1.0}]},
+    {"n_qubits": True, "terms": [{"pauli": "Z", "coeff": 1.0}]},
 ])
 def test_from_json_rejects_malformed_fields(data):
-    # a file from outside used to escape as a bare ValueError, TypeError or KeyError
+    # a file from outside used to escape as a bare ValueError, TypeError or KeyError;
+    # a NaN or infinite coefficient reached the solver, and n_qubits 2.7 was read as 2
     with pytest.raises(InputError, match="malformed Hamiltonian"):
         QubitHamiltonian.from_json_dict(data)
 

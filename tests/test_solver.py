@@ -485,6 +485,18 @@ def test_oversized_sector_refused(h2, monkeypatch):
         ground_state(ham, n_electrons=2, s_z=0)
 
 
+def test_sector_estimate_counts_sign_tables_and_diagonal_mask(ch4, monkeypatch):
+    # 16 bytes an entry and 320 a state leave out the largest class's sign tables
+    # and the 1-byte diagonal mask of the LOBPCG route: at exactly that limit the
+    # CH4 sector is refused
+    ham, n_e = embedded_jw(ch4, (0, 1, 2, 3), "population")
+    alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
+    nnz = len(_assemble_sector_matrix(ham, alphas, betas)[2])
+    monkeypatch.setattr(qembed.solver, "MAX_SECTOR_BYTES", 16 * nnz + 320 * len(alphas) * len(betas))
+    with pytest.raises(InputError, match="MB limit"):
+        _assemble_sector_matrix(ham, alphas, betas)
+
+
 def test_24_qubit_sector_refused_before_matrix_sized_arrays(monkeypatch):
     # sector (12, 0) of 24 qubits has 853,776 states; a table over all 2^24
     # bitstrings alone would take 64 MB
@@ -502,8 +514,8 @@ def test_24_qubit_sector_refused_before_matrix_sized_arrays(monkeypatch):
 
 
 def test_odd_y_word_refused_before_matrix_sized_arrays():
-    # sector (12, 0) of 24 qubits has 853,776 states; its per-row entry counts
-    # alone would take 6.5 MB
+    # sector (12, 0) of 24 qubits has 853,776 states; one float64 vector over
+    # them alone would take 6.8 MB
     words = ["Z" + "I" * 23, "XY" + "I" * 22]
     ham = QubitHamiltonian.from_terms(24, [(word, 0.5) for word in words])
     tracemalloc.start()
