@@ -307,9 +307,6 @@ def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
     """
     if n_qubits > MAX_JW_QUBITS:
         raise InputError(f"{n_qubits} qubits exceeds the Jordan-Wigner limit {MAX_JW_QUBITS}")
-    # the constant, then the even-Y strings of every block, summed by one merge
-    xs, zs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
-    phases = [np.array([float(ops.constant)])]
     for indices, coeffs in ops.products:
         width = indices.shape[1]
         if width % 2 or width > 10:
@@ -317,7 +314,13 @@ def jordan_wigner(ops: FermionOperator, n_qubits: int) -> QubitHamiltonian:
                              "at most 5 creators, then as many annihilators")
         if indices.size and not 0 <= indices.min() <= indices.max() < n_qubits:
             raise ValueError(f"spin orbital index outside {n_qubits} qubits")
-        step = max(1, JW_BLOCK >> width)
+        if len(coeffs) != len(indices):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(indices)} index rows")
+    # the constant, then the even-Y strings of every block, summed by one merge
+    xs, zs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
+    phases = [np.array([float(ops.constant)])]
+    for indices, coeffs in ops.products:
+        step = max(1, JW_BLOCK >> indices.shape[1])
         for lo in range(0, len(indices), step):
             bx, bz, bp = _ladder_products(indices[lo:lo + step], coeffs[lo:lo + step])
             even = np.bitwise_count(bx & bz) % 2 == 0

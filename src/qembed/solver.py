@@ -3,10 +3,11 @@
 The qubit route diagonalizes in one (N, S_z) sector: the grid of its alpha
 strings (even qubits) times its beta strings (odd qubits), as in the
 string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984).
-Small sectors are solved densely, larger ones by LOBPCG (Knyazev, SIAM J.
-Sci. Comput. 23, 517 (2001)) with block size 1, a Jacobi preconditioner and
-a seeded start. The sector matrix is built from the Pauli terms grouped by
-X mask. A group flips the alpha and the beta string of every state apart,
+Small sectors are solved densely, larger ones by a Davidson iteration
+(Davidson, J. Comput. Phys. 17, 87 (1975)) in numpy around scipy.sparse's
+matrix product, with a shifted diagonal preconditioner and a seeded start.
+The sector matrix is built from the Pauli terms grouped by X mask. A group
+flips the alpha and the beta string of every state apart,
 so a state's partner is the pair of ranks of its two flipped strings, and
 the group's value on a state is a sum of signed Z phases whose sign factors
 into an alpha-string and a beta-string sign: the values of a group over the
@@ -26,7 +27,7 @@ the Pauli machinery, so the two paths check each other.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from typing import Optional
 
 import numpy as np
@@ -47,6 +48,9 @@ DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
 EIG_MAXITER = 500
 EIG_SEED = 0
+EIG_SUBSPACE = 12
+
+_log = logging.getLogger(__name__)
 
 
 def _twice_sz(s_z: float) -> int:
@@ -138,7 +142,8 @@ def _assemble_sector_matrix(
     # per entry 16 bytes (float64 value, int32 row and column) and the 1-byte
     # diagonal mask of _lowest_eigenvalue; 32 bytes per cell of the largest
     # class's sign tables and their temporaries (19-26 measured by tracemalloc);
-    # and about 40 vectors of the sector dimension (eigensolver)
+    # and about 40 vectors of the sector dimension (the Davidson basis and its
+    # images, 2 * EIG_SUBSPACE = 24, and a few temporaries)
     needed = 17 * nnz + 32 * int(cells.max(initial=0)) + 8 * 40 * dim
     if needed > MAX_SECTOR_BYTES:
         raise InputError(
@@ -167,18 +172,61 @@ def _assemble_sector_matrix(
     return rows, cols, data
 
 
-def _lowest_eigenvalue(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int) -> float:
-    """Lowest eigenvalue of the upper-triangle COO matrix by LOBPCG with block size 1.
+def _davidson(apply, diag: np.ndarray) -> float:
+    """Lowest eigenvalue of the symmetric operator `apply` with diagonal `diag`, by Davidson.
 
-    scipy is imported here, so only this route pays for loading it. H is
-    applied as U + U^T - diag U, U^T sharing U's arrays, with a Jacobi
-    preconditioner. The start is a seeded random unit vector, which overlaps
-    every symmetry block, plus the unit vector of the lowest diagonal entry.
-    The residual |Hv - Ev| must reach EIG_TOL * max(1, |E|), the bound ARPACK
-    applies.
+    The start is a seeded random unit vector, which overlaps every symmetry
+    block, plus the unit vector of the lowest diagonal entry. Each correction
+    is the residual divided by diag - min(diag) + 0.1 (Davidson, J. Comput.
+    Phys. 17, 87 (1975), with a fixed shift), orthonormalized twice against
+    the basis. The basis holds at most EIG_SUBSPACE vectors and their images;
+    when it is full it restarts from the Ritz vector. The residual
+    |Hx - Ex| must reach EIG_TOL * max(1, |E|), the bound ARPACK applies,
+    within EIG_MAXITER operator products. A correction that vanishes means
+    the basis spans an invariant subspace whose Ritz value still misses it.
+    """
+    dim = len(diag)
+    basis, images = np.empty((EIG_SUBSPACE, dim)), np.empty((EIG_SUBSPACE, dim))
+    precond = diag - diag.min() + 0.1
+    vec = np.random.default_rng(EIG_SEED).standard_normal(dim)
+    vec /= np.linalg.norm(vec)
+    vec[np.argmin(diag)] += 1.0
+    n = 0
+    for products in range(1, EIG_MAXITER + 1):
+        size = np.linalg.norm(vec)
+        for _ in range(2):
+            vec -= (basis[:n] @ vec) @ basis[:n]
+        norm = np.linalg.norm(vec)
+        if norm <= 1e-10 * size:  # nothing but rounding is left outside the basis
+            raise ConvergenceError(f"Davidson did not converge: its basis spans an invariant "
+                                   f"subspace at residual {residual:.3g}, above {bound:.3g}")
+        basis[n] = vec / norm
+        images[n] = apply(basis[n])
+        n += 1
+        vals, vecs = np.linalg.eigh(basis[:n] @ images[:n].T)
+        energy, ritz = float(vals[0]), vecs[:, 0]
+        vec, image = ritz @ basis[:n], ritz @ images[:n]
+        residual_vec = image - energy * vec
+        residual = float(np.linalg.norm(residual_vec))
+        bound = EIG_TOL * max(1.0, abs(energy))
+        _log.debug("  davidson product %3d  E=%+.12f  |r|=%.3e", products, energy, residual)
+        if residual <= bound:
+            return energy
+        if n == EIG_SUBSPACE:  # restart from the Ritz vector and its image
+            norm = np.linalg.norm(vec)
+            basis[0], images[0], n = vec / norm, image / norm, 1
+        vec = residual_vec / precond
+    raise ConvergenceError(f"Davidson did not converge in {EIG_MAXITER} operator products: "
+                           f"residual {residual:.3g} above {bound:.3g}")
+
+
+def _lowest_eigenvalue(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int) -> float:
+    """Lowest eigenvalue of the upper-triangle COO matrix U, by `_davidson`.
+
+    scipy.sparse is imported here, so only this route pays for loading it.
+    H is applied as U + U^T - diag U, U^T sharing U's arrays.
     """
     import scipy.sparse
-    import scipy.sparse.linalg
 
     upper = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim))
     lower = upper.T
@@ -186,39 +234,15 @@ def _lowest_eigenvalue(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim
     on = rows == cols
     diag = np.zeros(dim)
     diag[rows[on]] = data[on]
-
-    def apply(v):
-        v = v.reshape(dim, -1)
-        return upper @ v + lower @ v - diag[:, None] * v
-
-    mat = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply, matmat=apply, dtype=float)
-    start = np.random.default_rng(EIG_SEED).standard_normal(dim)
-    start /= np.linalg.norm(start)
-    start[np.argmin(diag)] += 1.0
-    precond = scipy.sparse.diags(1.0 / (diag - diag.min() + 0.1))
-    # E lies at or below every diagonal entry, so this is within the bound
-    tol = EIG_TOL * max(1.0, -diag.min())
-    with warnings.catch_warnings():
-        # a missed tolerance is checked and raised below
-        warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = scipy.sparse.linalg.lobpcg(
-            mat, start[:, None], M=precond, tol=tol, maxiter=EIG_MAXITER, largest=False
-        )
-    energy = float(vals[0])
-    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    residual = float(np.linalg.norm(mat @ vec - energy * vec))
-    bound = EIG_TOL * max(1.0, abs(energy))
-    if not residual <= bound:
-        raise ConvergenceError(f"LOBPCG did not converge in {EIG_MAXITER} iterations: "
-                               f"residual {residual:.3g} above {bound:.3g}")
-    return energy
+    del on  # 1 byte an entry, not held through the iteration
+    return _davidson(lambda v: upper @ v + lower @ v - diag * v, diag)
 
 
 def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> float:
     """Lowest eigenvalue of the qubit Hamiltonian in the (n_electrons, s_z) sector.
 
-    A sector of at most DENSE_CUTOFF states, or of fewer than 5, is
-    diagonalized densely from its upper triangle; a larger one by LOBPCG.
+    A sector of at most DENSE_CUTOFF states is diagonalized densely from its
+    upper triangle; a larger one by `_davidson`.
     """
     n = h.n_qubits
     if n > MAX_QUBITS:
@@ -226,7 +250,7 @@ def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> flo
     alphas, betas = _sector_basis(n, n_electrons, s_z)
     rows, cols, data = _assemble_sector_matrix(h, alphas, betas)
     dim = len(alphas) * len(betas)
-    if dim <= DENSE_CUTOFF or dim < 5:
+    if dim <= DENSE_CUTOFF:
         upper = np.zeros((dim, dim))
         upper[rows, cols] = data
         return float(np.linalg.eigvalsh(upper, UPLO="U")[0])

@@ -129,7 +129,7 @@ def test_criterion_3_projector_spectra():
 
 def test_criterion_4_oracle_equivalence(monkeypatch):
     """Qubit-route ground states match the determinant oracle; the dense and
-    LOBPCG solvers agree."""
+    Davidson solvers agree."""
     worst = 0.0
     for name, n_e in (("h2", 2), ("heh+", 2), ("water", 10)):
         system = get_system(name)
@@ -154,7 +154,7 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
     sparse = ground_state(ham6, n_electrons=problem.n_act_electrons, s_z=0)
     ok = worst < 1e-8 and abs(dense - sparse) < 1e-9
     _report(4, ok, f"worst |JW - determinant FCI| = {worst:.2e} (< 1e-8); "
-                   f"dense vs LOBPCG {abs(dense - sparse):.2e} (< 1e-9) "
+                   f"dense vs Davidson {abs(dense - sparse):.2e} (< 1e-9) "
                    f"on {ham6.n_qubits} qubits")
 
 

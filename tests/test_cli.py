@@ -914,34 +914,35 @@ def test_verbose_reaches_scan_workers(tmp_path, h2_file, capfd, monkeypatch):
     assert "scf iter" not in captured.out
 
 
-def _scipy_loaded_after(code: str, cwd) -> bool:
-    """Whether scipy is in sys.modules after `code` runs in a fresh interpreter."""
+def _loaded_after(code: str, cwd, *modules: str) -> list[bool]:
+    """Whether each module is in sys.modules after `code` runs in a fresh interpreter."""
     src = str(Path(qembed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
-    script = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
+    script = f"{code}\nimport sys\nprint(*(m in sys.modules for m in {modules!r}))"
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()[-1] == "True"
+    return [word == "True" for word in done.stdout.splitlines()[-1].split()]
 
 
 def test_import_leaves_scipy_out(tmp_path):
-    assert not _scipy_loaded_after("import qembed.cli", tmp_path)
+    assert _loaded_after("import qembed.cli", tmp_path, "scipy") == [False]
 
 
-@pytest.mark.parametrize("xyz, argv, lobpcg", [
+@pytest.mark.parametrize("xyz, argv, sparse", [
     # the README scan: dense sector solves (dimension 225) and the FCI oracle at every point
     (WATER_XYZ, ["scan", "--active", "0,2", "--atoms", "0,2", "--distances", "0.8:3.0:0.2"],
      False),
     (WATER_XYZ, ["embed", "--active", "0,1", "--solver", "none"], False),
-    # 16 qubits, sector dimension 4,900: the LOBPCG route
+    # 16 qubits, sector dimension 4,900: the Davidson route, whose products are scipy.sparse's
     (CH4_XYZ, ["embed", "--active", "0,1,2,3", "--localizer", "population"], True),
-], ids=["readme_scan", "embed_solver_none", "ch4_lobpcg"])
-def test_only_the_lobpcg_route_loads_scipy(tmp_path, xyz, argv, lobpcg):
+], ids=["readme_scan", "embed_solver_none", "ch4_sparse"])
+def test_only_the_sparse_route_loads_scipy(tmp_path, xyz, argv, sparse):
     (tmp_path / "mol.xyz").write_text(xyz)
     argv = argv + ["--geometry", "mol.xyz", "--out", "out.txt"]
     code = f"from qembed.cli import main\nassert main({argv!r}) == 0"
-    assert _scipy_loaded_after(code, tmp_path) == lobpcg
+    assert _loaded_after(code, tmp_path, "scipy", "scipy.sparse", "scipy.sparse.linalg") == [
+        sparse, sparse, False]
     if argv[0] == "scan":
         rows = (tmp_path / "out.txt").read_text().splitlines()[1:]
         assert len(rows) == 12

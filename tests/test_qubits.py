@@ -266,6 +266,19 @@ def test_jw_qubit_and_index_limits():
             jordan_wigner(wide, 2)
 
 
+@pytest.mark.parametrize("n_coeffs", [1, 3], ids=["broadcast", "mismatch"])
+def test_jw_refuses_coefficients_unlike_its_rows(n_coeffs, monkeypatch):
+    # one coefficient would be broadcast to both rows, three would fail inside
+    # the expansion; either is refused before any product is expanded
+    def expand(*args):
+        raise AssertionError("expanded before the check")
+    monkeypatch.setattr(qembed.qubits, "_ladder_products", expand)
+    good = (np.array([[0, 0]]), np.ones(1))
+    bad = (np.array([[0, 0], [1, 1]]), np.ones(n_coeffs))
+    with pytest.raises(ValueError, match=f"{n_coeffs} coefficients for 2 index rows"):
+        jordan_wigner(FermionOperator(0.0, (good, bad)), 2)
+
+
 def test_jw_merge_seams(water, monkeypatch):
     # a prime block leaves partial blocks, and many blocks wait for each merge
     mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C,

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -260,7 +261,7 @@ def test_dense_and_sparse_paths_agree(water, force_route):
 
 
 def test_lanczos_deterministic(water, force_route):
-    # the LOBPCG route, from its seeded start
+    # the Davidson route, from its seeded start
     ham = full_jw(water)
     force_route("sparse")
     runs = [ground_state(ham, n_electrons=10, s_z=0) for _ in range(2)]
@@ -288,6 +289,53 @@ def test_eigensolver_iteration_cap_raises(water, monkeypatch, force_route):
         ground_state(ham, n_electrons=10, s_z=0)
 
 
+def test_restarted_davidson_matches_dense_route(water, ch2, nh, monkeypatch, force_route):
+    # a basis of 3 vectors restarts from the Ritz vector after every second correction
+    monkeypatch.setattr(qembed.solver, "EIG_SUBSPACE", 3)
+    ham, n_e = embedded_jw(water, (0, 1))
+    dense = ground_state(ham, n_electrons=n_e, s_z=0)
+    force_route("sparse")
+    assert ground_state(ham, n_electrons=n_e, s_z=0) == pytest.approx(dense, abs=1e-10)
+    for system in (ch2, nh):  # the S_z = 0 triplets, as in test_triplet_ground_state_found_at_s_z_0
+        ham, n_e = full_jw(system), system.mol.n_electrons
+        force_route("sparse")
+        sparse = ground_state(ham, n_electrons=n_e, s_z=0)
+        assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=1), abs=1e-9)
+        force_route("dense")
+        assert sparse == pytest.approx(ground_state(ham, n_electrons=n_e, s_z=0), abs=1e-9)
+
+
+def test_davidson_on_a_sector_smaller_than_its_basis(h2, force_route):
+    # H2's 4 states: the basis spans the whole sector before it is full
+    ham = full_jw(h2)
+    force_route("dense")
+    dense = ground_state(ham, n_electrons=2, s_z=0)
+    force_route("sparse")
+    sparse = ground_state(ham, n_electrons=2, s_z=0)
+    assert not np.isnan(sparse)
+    assert sparse == pytest.approx(dense, abs=1e-12)
+
+
+def test_davidson_refuses_an_invariant_subspace_above_the_bound(h2, monkeypatch, force_route):
+    # no residual meets a zero tolerance, so the correction after the fourth
+    # product lies in the basis that already spans the 4-state sector
+    monkeypatch.setattr(qembed.solver, "EIG_TOL", 0.0)
+    force_route("sparse")
+    with pytest.raises(ConvergenceError, match="invariant subspace"):
+        ground_state(full_jw(h2), n_electrons=2, s_z=0)
+
+
+def test_davidson_logs_each_product(water, caplog, force_route):
+    ham, n_e = embedded_jw(water, (0, 1))
+    force_route("sparse")
+    with caplog.at_level(logging.DEBUG, logger="qembed.solver"):
+        energy = ground_state(ham, n_electrons=n_e, s_z=0)
+    lines = [r.getMessage() for r in caplog.records if "davidson" in r.getMessage()]
+    assert [int(line.split()[2]) for line in lines] == list(range(1, len(lines) + 1))
+    assert f"E={energy:+.12f}" in lines[-1]
+    assert float(lines[-1].rsplit("|r|=", 1)[1]) <= 1e-9 * abs(energy)
+
+
 @pytest.mark.slow
 def test_methanol_20_qubit_sector(methanol):
     # O and the hydroxyl H active: 20 qubits, sector dimension 63,504
@@ -299,7 +347,7 @@ def test_methanol_20_qubit_sector(methanol):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # frozen from an earlier ARPACK solve of this sector; the LOBPCG route must reproduce it
+    # frozen from an earlier ARPACK solve of this sector; the Davidson route must reproduce it
     assert energy == pytest.approx(-113.5991678215, abs=1e-9)
     # 1.5 times the 264 MB measured, 237 MB of which is the upper triangle's COO arrays
     assert peak <= 400 * 2**20
@@ -321,7 +369,7 @@ def test_sector_basis_memory():
 
 
 def test_hamiltonian_without_terms(force_route):
-    # 9 states, enough for the LOBPCG route
+    # 9 states, on the Davidson route
     ham = QubitHamiltonian.from_terms(6, [])
     assert all(len(part) == 0 for part in _assemble_sector_matrix(ham, *_sector_basis(6, 2, 0)))
     force_route("sparse")
@@ -440,7 +488,7 @@ def test_sector_matrix_is_an_upper_triangle(name, active, localizer, whole, requ
     assert 2 * len(data) - np.count_nonzero(rows == cols) == whole
 
 
-def test_lobpcg_route_matches_dense_route_on_embedded_water(water, force_route):
+def test_sparse_route_matches_dense_route_on_embedded_water(water, force_route):
     # the 225-state sector of the README embed, by both routes
     ham, n_e = embedded_jw(water, (0, 1))
     assert len(grid_states(*_sector_basis(ham.n_qubits, n_e, 0))) == 225
@@ -487,7 +535,7 @@ def test_oversized_sector_refused(h2, monkeypatch):
 
 def test_sector_estimate_counts_sign_tables_and_diagonal_mask(ch4, monkeypatch):
     # 16 bytes an entry and 320 a state leave out the largest class's sign tables
-    # and the 1-byte diagonal mask of the LOBPCG route: at exactly that limit the
+    # and the 1-byte diagonal mask of the Davidson route: at exactly that limit the
     # CH4 sector is refused
     ham, n_e = embedded_jw(ch4, (0, 1, 2, 3), "population")
     alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
