@@ -42,7 +42,7 @@ from .localize import (
 from .molecule import BOHR_PER_ANGSTROM, Atom, Molecule, load_xyz
 from .qubits import QubitHamiltonian, jordan_wigner, mo_transform, second_quantize
 from .scf import SCFResult, run_rhf
-from .solver import MAX_FCI_ORBITALS, fci_oracle, ground_state
+from .solver import fci_fits, fci_oracle, ground_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -273,7 +273,8 @@ def _scan_point(args) -> dict:
         result = run_embedding_pipeline(config, mol=mol)
         row["e_rhf"] = _round10(result.scf.E_total)
         row["e_embed"] = result.e_wf
-        if result.integrals.n_functions <= MAX_FCI_ORBITALS:
+        n_e = mol.n_electrons
+        if fci_fits(result.integrals.n_functions, n_e // 2, n_e - n_e // 2):
             row["e_fci"] = _round10(_stage("fci", fci_oracle, mol, result.integrals, result.scf))
             if row["e_embed"] is not None:
                 row["log10_error"] = _round10(

@@ -12,22 +12,28 @@ so a state's partner is the pair of ranks of its two flipped strings, and
 the group's value on a state is a sum of signed Z phases whose sign factors
 into an alpha-string and a beta-string sign: the values of a group over the
 grid are one small matrix product of two sign tables. Only the upper
-triangle is stored, as COO arrays, and a sector that would need more than
-MAX_SECTOR_BYTES for them and the build's transients (17 bytes per stored
-entry, 32 per sign-table cell of the largest class of groups, 320 per state)
-is refused before any array of the entry count is allocated. The determinant
-route does its own MO transform and writes H through the alpha and beta
-replacement matrices E_kl = <I|a+_k a_l|J> of the same string-driven CI,
-one alpha string at a time. At S_z = 0 it splits H into the blocks even and
-odd under swapping the alpha and beta strings, and diagonalizes the odd
-block only when a Cholesky test cannot show that it lies above the even
-block's lowest eigenvalue. It enumerates its own strings and never touches
-the Pauli machinery, so the two paths check each other.
+triangle is stored, as COO arrays. MAX_SECTOR_BYTES is the route's one size
+rule, checked in order of cost: 320 bytes per state (the Davidson vectors),
+counted from binomials before any string exists; then 32 per cell of the
+partner-rank tables (X-mask groups times alpha plus beta strings), before
+they are built; then 17 per stored entry and 32 per sign-table cell of the
+largest class of groups, before any array of the entry count is allocated.
+The determinant route does its own MO transform and writes H through the
+alpha and beta replacement matrices E_kl = <I|a+_k a_l|J> of the same
+string-driven CI, one alpha string at a time. At S_z = 0 it splits H into
+the blocks even and odd under swapping the alpha and beta strings, and
+diagonalizes the odd block only when a Cholesky test cannot show that it
+lies above the even block's lowest eigenvalue. Its one size rule,
+MAX_FCI_BYTES, bounds those dense arrays, counted from binomials before any
+string. It enumerates and ranks its own strings and never touches the Pauli
+machinery, so the two paths check each other.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from typing import Optional
 
 import numpy as np
@@ -38,11 +44,11 @@ from .molecule import Molecule, nuclear_repulsion
 from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
-MAX_QUBITS = 24
-# a sector matrix needs 17 bytes per stored entry and 320 per state, and more
-# for its sign tables (see _assemble_sector_matrix), checked before any
-# entry-sized array; one under this limit has fewer than 1.27e8 entries and
-# 6.7e6 states, so int32 indexes both
+# a sector needs 320 bytes per state, 32 per cell of its partner-rank tables,
+# 17 per stored entry and 32 per cell of its largest sign tables (see
+# _check_sector_size and _assemble_sector_matrix), each counted before it is
+# built; one under this limit has fewer than 1.27e8 entries and 6.7e6 states,
+# so int32 indexes both
 MAX_SECTOR_BYTES = 2 * 2**30
 DENSE_CUTOFF = 600
 EIG_TOL = 1e-9
@@ -60,23 +66,51 @@ def _twice_sz(s_z: float) -> int:
     return int(2 * s_z)
 
 
+def _check_sector_size(dim: int, matrix_bytes: int = 0) -> None:
+    """InputError when a sector's vectors plus matrix_bytes need more than MAX_SECTOR_BYTES.
+
+    The vectors are about 40 of the sector dimension, 320 bytes a state: the
+    Davidson basis and its images (2 * EIG_SUBSPACE = 24) and a few temporaries.
+    """
+    needed = 8 * 40 * dim + matrix_bytes
+    if needed > MAX_SECTOR_BYTES:
+        raise InputError(f"sector of dimension {dim} needs {needed / 2**20:.0f} MB, "
+                         f"over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit")
+
+
+def _strings(bits: range, n: int) -> np.ndarray:
+    """The ascending uint64 strings that set n of the ascending bit positions `bits`.
+
+    They are grown one bit at a time: the strings over the bits so far with c
+    set are those without the new bit, then those with c - 1 set plus the new
+    bit, which are all larger. A count from which n can no longer be reached
+    is dropped, so every string ever held is the low bits of one in the result.
+    """
+    none = np.zeros(0, dtype=np.uint64)
+    by_count = [np.zeros(1, dtype=np.uint64)] + [none] * n
+    for seen, q in enumerate(bits, 1):
+        bit, fewest = np.uint64(1 << q), n - (len(bits) - seen)
+        by_count = [none if c < fewest else by_count[0] if c == 0
+                    else np.concatenate([by_count[c], by_count[c - 1] | bit]) for c in range(n + 1)]
+    return by_count[n]
+
+
 def _sector_basis(n_qubits: int, n_electrons: int, s_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending alpha strings (even bits) and beta strings (odd bits) of the (N, S_z) sector.
+    """The ascending uint64 alpha strings (even bits) and beta strings (odd bits) of a sector.
 
     Spin orbitals are interleaved (even bit = alpha). State a * len(betas) + b
-    of the sector is alphas[a] | betas[b]. A sector without states raises
-    InputError.
+    of the sector is alphas[a] | betas[b]. The states are counted from
+    binomials first: a sector without states, or one whose vectors alone
+    exceed MAX_SECTOR_BYTES, raises InputError before any string is built.
     """
     twice_sz = _twice_sz(s_z)
-    halves = [np.zeros(1, dtype=np.int64)] * 2  # all strings over the even, the odd bits
-    for q in range(n_qubits):
-        halves[q % 2] = np.concatenate([halves[q % 2], halves[q % 2] | (1 << q)])
-    n_alpha = (n_electrons + twice_sz) // 2
-    alphas = halves[0][np.bitwise_count(halves[0]) == n_alpha]
-    betas = halves[1][np.bitwise_count(halves[1]) == n_electrons - n_alpha]
-    if (n_electrons + twice_sz) % 2 or not (alphas.size and betas.size):
+    n_alpha, n_beta = (n_electrons + twice_sz) // 2, (n_electrons - twice_sz) // 2
+    orbitals = (n_qubits + 1) // 2, n_qubits // 2  # even, odd qubits
+    if (n_electrons + twice_sz) % 2 or not (0 <= n_alpha <= orbitals[0]
+                                            and 0 <= n_beta <= orbitals[1]):
         raise InputError(f"empty sector (n={n_electrons}, s_z={s_z}) for {n_qubits} qubits")
-    return alphas, betas
+    _check_sector_size(math.comb(orbitals[0], n_alpha) * math.comb(orbitals[1], n_beta))
+    return _strings(range(0, n_qubits, 2), n_alpha), _strings(range(1, n_qubits, 2), n_beta)
 
 
 def _signs(masks: np.ndarray) -> np.ndarray:
@@ -106,9 +140,10 @@ def _assemble_sector_matrix(
     entries is stored once, in the row of the lower state: group g keeps
     (a, b) where ra[g, a] > a or, when it flips no alpha bit, where
     rb[g, b] >= b. No (row, col) pair appears twice, as the two states of an
-    entry differ by its group's x mask. The kept counts give the entry count
-    and the size of every sign table, so a matrix over MAX_SECTOR_BYTES is
-    refused before anything of its size is allocated.
+    entry differ by its group's x mask. The rank tables are counted before
+    they are built, and their kept counts give the entry count and the size of
+    every sign table, so a matrix over MAX_SECTOR_BYTES is refused before
+    anything of its size is allocated.
 
     An entry's value is sum_w f_w (-1)^|s∧z_w| at its row's state s, f_w the
     coefficient times the sign of i^(number of Y). That sign is an alpha
@@ -117,7 +152,7 @@ def _assemble_sector_matrix(
     depend only on its popcount, so the groups of equal k and equal kept
     counts form a few classes, each one batched product into the output.
     """
-    x, z = h.x.astype(np.int64), h.z.astype(np.int64)
+    x, z = h.x, h.z
     n_y = np.bitwise_count(x & z)
     if (n_y % 2).any():
         raise InputError("Hamiltonian is not real in the occupation basis: "
@@ -126,11 +161,17 @@ def _assemble_sector_matrix(
     z, factors = z[order], np.where(n_y % 4 == 0, h.coeffs, -h.coeffs)[order]
     flips, starts, sizes = np.unique(x[order], return_index=True, return_counts=True)
 
-    alpha_mask = sum(1 << q for q in range(0, h.n_qubits, 2))
-    ra = _partner_ranks(alphas, flips & alpha_mask)
-    rb = _partner_ranks(betas, flips & ~alpha_mask)
     n_beta = len(betas)
     dim = len(alphas) * n_beta
+    # 32 bytes per (group, string) cell of the rank tables: the int32 ranks and
+    # keep masks held through the build, and the int64 flipped strings and
+    # searchsorted ranks of _partner_ranks (14-17 measured by tracemalloc with
+    # halves of equal size, 24 with one beta string)
+    rank_bytes = 32 * len(flips) * (len(alphas) + n_beta)
+    _check_sector_size(dim, rank_bytes)
+    alpha_mask = np.uint64(sum(1 << q for q in range(0, h.n_qubits, 2)))
+    ra = _partner_ranks(alphas, flips & alpha_mask)
+    rb = _partner_ranks(betas, flips & ~alpha_mask)
     # ra[g, a] == a exactly when g flips no alpha bit, and only then are the beta strings halved
     keep_a = ra >= np.arange(len(alphas))
     keep_b = rb >= np.where(flips[:, None] & alpha_mask, 0, np.arange(n_beta))
@@ -141,15 +182,8 @@ def _assemble_sector_matrix(
     cells = np.bincount(of_class, minlength=len(classes)) * classes[:, 0] * classes[:, 1:].sum(1)
     # per entry 16 bytes (float64 value, int32 row and column) and the 1-byte
     # diagonal mask of _lowest_eigenvalue; 32 bytes per cell of the largest
-    # class's sign tables and their temporaries (19-26 measured by tracemalloc);
-    # and about 40 vectors of the sector dimension (the Davidson basis and its
-    # images, 2 * EIG_SUBSPACE = 24, and a few temporaries)
-    needed = 17 * nnz + 32 * int(cells.max(initial=0)) + 8 * 40 * dim
-    if needed > MAX_SECTOR_BYTES:
-        raise InputError(
-            f"sector of dimension {dim} needs {needed / 2**20:.0f} MB for its sparse "
-            f"matrix, over the {MAX_SECTOR_BYTES / 2**20:.0f} MB limit"
-        )
+    # class's sign tables and their temporaries (19-26 measured by tracemalloc)
+    _check_sector_size(dim, rank_bytes + 17 * nnz + 32 * int(cells.max(initial=0)))
     rows, cols, data = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32), np.empty(nnz)
     at = 0
     for c, (k, na, nb) in enumerate(classes.tolist()):
@@ -244,10 +278,7 @@ def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> flo
     A sector of at most DENSE_CUTOFF states is diagonalized densely from its
     upper triangle; a larger one by `_davidson`.
     """
-    n = h.n_qubits
-    if n > MAX_QUBITS:
-        raise InputError(f"{n} qubits exceeds the exact-diagonalization limit {MAX_QUBITS}")
-    alphas, betas = _sector_basis(n, n_electrons, s_z)
+    alphas, betas = _sector_basis(h.n_qubits, n_electrons, s_z)
     rows, cols, data = _assemble_sector_matrix(h, alphas, betas)
     dim = len(alphas) * len(betas)
     if dim <= DENSE_CUTOFF:
@@ -259,23 +290,37 @@ def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> flo
 
 # --- determinant-space FCI oracle -----------------------------------------
 
-MAX_FCI_ORBITALS = 8
+# the oracle's dense arrays (see _fci_bytes), counted before any string is
+# built; this admits every space of up to 8 orbitals (at most 258 MB) and
+# refuses the whole CH4 (9 orbitals, 1,509 MB), and its largest admitted block
+# (4,536 rows) takes seconds in eigvalsh
+MAX_FCI_BYTES = 2**29
 
 
 def _replacement_matrices(k: int, n: int) -> np.ndarray:
-    """E[kl, I, J] = <I|a+_k a_l|J> over the ascending n-electron strings of k orbitals."""
-    strings = np.flatnonzero(np.bitwise_count(np.arange(1 << k)) == n)
-    rank = np.zeros(1 << k, dtype=np.int64)
-    rank[strings] = np.arange(len(strings))
-    bits = 1 << np.arange(k)
-    emptied = strings ^ bits[:, None]  # [l, J]: string J with orbital l flipped
-    # a+_k a_l |J> is nonzero when l is in J and k is not in J without l
-    p, q, j = np.nonzero((strings & bits[:, None] != 0) & (emptied & bits[:, None, None] == 0))
-    passed = (np.bitwise_count(strings[j] & (bits[q] - 1))
-              + np.bitwise_count(emptied[q, j] & (bits[p] - 1)))
-    e = np.zeros((k, k, len(strings), len(strings)))
-    e[p, q, rank[emptied[q, j] | bits[p]], j] = 1.0 - 2.0 * (passed & 1)
-    return e.reshape(k * k, len(strings), len(strings))
+    """E[kl, I, J] = <I|a+_k a_l|J> over the n-electron strings of k orbitals, in ascending order.
+
+    A string is the ascending orbitals o_1 < ... < o_n it occupies; its rank
+    among the strings in ascending order of their bitstrings is
+    sum_i C(o_i, i), the combinatorial number system, so no bitstring and no
+    table over all 2^k of them is built. a+_p a_l on J replaces its a-th
+    orbital l by p, where p is l or outside J; the sign passes the a orbitals
+    below l and the orbitals of J without l below p.
+    """
+    occ = np.array(list(itertools.combinations(range(k), n)), dtype=np.int64)  # [J, i]
+    binom = np.array([[math.comb(o, i) for i in range(n + 1)] for o in range(k)],
+                     dtype=np.int64).reshape(k, n + 1)
+    rank = binom[occ, np.arange(1, n + 1)].sum(1)
+    drop = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # [a]: places but a
+    rest = occ[:, drop]  # [J, a, :]: string J without its a-th orbital
+    orbitals = np.arange(k)
+    below = (rest[..., None] < orbitals).sum(2)  # [J, a, p]: orbitals of rest below p
+    j, a, p = np.nonzero(~(rest[..., None] == orbitals).any(2))
+    kept, below = rest[j, a], below[j, a, p]  # a kept orbital above p moves up one place
+    target = binom[kept, np.arange(1, n) + (kept > p[:, None])].sum(1) + binom[p, below + 1]
+    e = np.zeros((k, k, len(occ), len(occ)))
+    e[p, occ[j, a], target, rank[j]] = 1.0 - 2.0 * ((a + below) & 1)
+    return e.reshape(k * k, len(occ), len(occ))
 
 
 def _ci_blocks(h: np.ndarray, g: np.ndarray, n_alpha: int, n_beta: int):
@@ -308,8 +353,10 @@ def _ci_blocks(h: np.ndarray, g: np.ndarray, n_alpha: int, n_beta: int):
     left = np.ascontiguousarray(np.concatenate([g_a, [a, np.eye(n_a)]]).transpose(1, 2, 0))
     right = np.concatenate([e_b, [np.eye(n_b), b]]).reshape(k * k + 2, -1)
     if n_alpha != n_beta:
-        mat = [(left[i] @ right).reshape(n_a, n_b, n_b).swapaxes(0, 1) for i in range(n_a)]
-        return np.concatenate(mat).reshape(n_a * n_b, -1), np.zeros((0, 0))
+        whole = np.empty((n_a, n_b, n_a, n_b))
+        for i in range(n_a):
+            whole[i] = (left[i] @ right).reshape(n_a, n_b, n_b).swapaxes(0, 1)
+        return whole.reshape(n_a * n_b, -1), np.zeros((0, 0))
     sym, anti = np.triu_indices(n_a), np.triu_indices(n_a, 1)  # pairs I <= J, I < J
     plus, minus = np.empty((len(sym[0]), len(sym[0]))), np.empty((len(anti[0]), len(anti[0])))
     for i in range(n_a):
@@ -322,18 +369,44 @@ def _ci_blocks(h: np.ndarray, g: np.ndarray, n_alpha: int, n_beta: int):
     return plus, minus
 
 
+def _fci_bytes(k: int, n_alpha: int, n_beta: int) -> int:
+    """Bytes of the dense arrays `fci_energy` builds for n_alpha + n_beta electrons in k orbitals.
+
+    Counted from binomials: six arrays the size of the replacement matrices
+    E of each distinct string count, for E, its product with (kl|mn) and the
+    copies the build makes (4.1-5.5 measured by tracemalloc, the MO transform
+    included); and the CI blocks, with one more copy of the larger (the
+    weighting of H+, or LAPACK's copy).
+    """
+    n_a, n_b = math.comb(k, n_alpha), math.comb(k, n_beta)
+    if n_alpha == n_beta:
+        pairs, plus, minus = n_a**2, n_a * (n_a + 1) // 2, n_a * (n_a - 1) // 2
+    else:
+        pairs, plus, minus = n_a**2 + n_b**2, n_a * n_b, 0
+    return 8 * (6 * k * k * pairs + 2 * plus**2 + minus**2)
+
+
+def fci_fits(k: int, n_alpha: int, n_beta: int) -> bool:
+    """Whether the dense arrays of n_alpha + n_beta electrons in k orbitals fit MAX_FCI_BYTES."""
+    return _fci_bytes(k, n_alpha, n_beta) <= MAX_FCI_BYTES
+
+
 def fci_energy(h_ao: np.ndarray, eri_ao: np.ndarray, c: np.ndarray,
                n_alpha: int, n_beta: int) -> float:
     """Lowest electronic energy of n_alpha + n_beta electrons in the orbitals (columns) of c.
 
-    H- of `_ci_blocks` is diagonalized only when (H- - E+) has no Cholesky factor.
+    An empty determinant space, or one that fails `fci_fits`, raises
+    InputError before anything is built. H- of `_ci_blocks` is diagonalized
+    only when (H- - E+) has no Cholesky factor.
     """
     k = c.shape[1]
-    if k > MAX_FCI_ORBITALS:
-        raise InputError(f"{k} orbitals exceeds the FCI oracle limit {MAX_FCI_ORBITALS}")
     if not (0 <= n_alpha <= k and 0 <= n_beta <= k):
         raise InputError(f"empty determinant space ({n_alpha} alpha and {n_beta} beta "
                          f"electrons) for {k} orbitals")
+    if not fci_fits(k, n_alpha, n_beta):
+        raise InputError(f"{n_alpha} alpha and {n_beta} beta electrons in {k} orbitals need "
+                         f"{_fci_bytes(k, n_alpha, n_beta) / 2**20:.0f} MB for the FCI oracle, "
+                         f"over the {MAX_FCI_BYTES / 2**20:.0f} MB limit")
     g = eri_ao
     for _ in range(4):  # contract the leading AO index; its MO index goes last
         g = np.tensordot(g, c, (0, 0))

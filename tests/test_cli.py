@@ -799,6 +799,33 @@ def test_embed_maps_a_molecule_over_32_aos(tmp_path):
     assert abs(energies["e_same_level_embedded"] - energies["e_rhf"]) <= 1e-8
 
 
+def test_butane_one_h_embedding_solves_exactly(tmp_path, capsys):
+    # n-butane (K = 30) with one methyl H active: 28 qubits, 1 + 1 electrons in 14
+    # kept orbitals, 196 states; the determinant oracle solves the same embedding
+    from conftest import XYZ
+    from qembed.embedding import drop_environment_orbitals
+    from qembed.solver import fci_energy
+
+    geometry, out = tmp_path / "butane.xyz", tmp_path / "r.json"
+    geometry.write_text(XYZ["butane"])
+    assert main(["embed", "--geometry", str(geometry), "--active", "4", "--solver", "exact",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["resources"]["n_qubits_embedded"] == 28
+    e_wf = report["energies"]["e_wf_in_lowlevel"]
+    assert e_wf == pytest.approx(-155.4795937070, abs=1e-10)
+    result = run_embedding_pipeline(RunConfig(str(geometry), (4,), solver="none"))
+    c_red = drop_environment_orbitals(result.scf_emb, result.partition.gamma_env,
+                                      result.integrals.S)
+    assert (c_red.shape[1], result.problem.n_act_electrons) == (14, 2)
+    e_fci = fci_energy(result.problem.h_emb, result.integrals.eri, c_red, 1, 1)
+    assert e_fci + result.problem.classical_energy == pytest.approx(e_wf, abs=1e-10)
+    # one carbon active instead: 36 qubits, 73,410,624 states, refused as too large
+    assert main(["embed", "--geometry", str(geometry), "--active", "0", "--solver", "exact",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error [solver] sector of dimension 73410624 ")
+
+
 def _write_config(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

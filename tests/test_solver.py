@@ -1,17 +1,21 @@
 import logging
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import sector_matrix
+from conftest import get_system, sector_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qembed.solver
+from qembed.basis import build_basis
 from qembed.embedding import drop_environment_orbitals, run_embedded_scf
 from qembed.exceptions import ConvergenceError, InputError
+from qembed.integrals import compute_integrals
 from qembed.localize import assign_by_population, population_localize, spade_partition
-from qembed.molecule import nuclear_repulsion
+from qembed.molecule import nuclear_repulsion, parse_xyz
 from qembed.qubits import (
     QubitHamiltonian,
     dense_matrix,
@@ -19,12 +23,15 @@ from qembed.qubits import (
     mo_transform,
     second_quantize,
 )
+from qembed.scf import run_rhf
 from qembed.solver import (
     _assemble_sector_matrix,
     _ci_blocks,
+    _fci_bytes,
     _replacement_matrices,
     _sector_basis,
     fci_energy,
+    fci_fits,
     fci_oracle,
     ground_state,
 )
@@ -130,9 +137,10 @@ def test_water_fci_regression(water):
     assert e_fci == pytest.approx(-75.0125784863, abs=1e-8)
 
 
-def test_oracle_equivalence_nh3_at_orbital_limit(nh3):
-    # K = 8, the oracle limit: 10 electrons in 16 spin orbitals, 56^2 determinants
-    assert nh3.ints.n_functions == qembed.solver.MAX_FCI_ORBITALS
+def test_oracle_equivalence_nh3_within_its_byte_count(nh3):
+    # K = 8: 10 electrons in 16 spin orbitals, 56 strings of each spin, so at
+    # S_z = 0 the blocks H+ and H- have 1,596 and 1,540 rows
+    assert nh3.ints.n_functions == 8
     gs = ground_state(full_jw(nh3), n_electrons=10, s_z=0)
     tracemalloc.start()
     try:
@@ -141,9 +149,11 @@ def test_oracle_equivalence_nh3_at_orbital_limit(nh3):
     finally:
         tracemalloc.stop()
     assert gs == pytest.approx(e_fci, abs=1e-8)
-    # the dense 3136^2 CI matrix plus slack: the blocks are built one alpha string
-    # at a time and never hold the whole (I, J, I', J') tensor, which would not fit
-    assert peak <= 1.25 * 3136**2 * 8
+    # both blocks and a second H+ (its weighting) plus slack: the blocks are built one
+    # alpha string at a time and never hold the whole (I, J, I', J') tensor, which would
+    # not fit; 63.5 MiB measured, within the oracle's own count of its arrays
+    assert peak <= 1.25 * (2 * 1596**2 + 1540**2) * 8
+    assert peak <= _fci_bytes(8, 5, 5)
 
 
 @pytest.mark.parametrize("name", ["lih", "water"])
@@ -192,6 +202,24 @@ def test_ci_blocks_split_the_kron_matrix(name, request):
     assert np.abs(both - np.linalg.eigvalsh(whole)).max() <= 1e-10
 
 
+def test_replacement_matrices_match_a_loop_over_bitstrings():
+    # reference: the n-electron bitstrings of k orbitals in ascending order, and
+    # a+_p a_l applied to each one at a time, its sign from the electrons it passes
+    for k in range(1, 7):
+        for n in range(k + 1):
+            strings = [s for s in range(1 << k) if bin(s).count("1") == n]
+            expected = np.zeros((k, k, len(strings), len(strings)))
+            for j, s in enumerate(strings):
+                for l in (l for l in range(k) if s >> l & 1):
+                    emptied = s ^ 1 << l
+                    for p in (p for p in range(k) if not emptied >> p & 1):
+                        passed = (bin(s & (1 << l) - 1).count("1")
+                                  + bin(emptied & (1 << p) - 1).count("1"))
+                        expected[p, l, strings.index(emptied | 1 << p), j] = (-1) ** passed
+            assert np.array_equal(_replacement_matrices(k, n),
+                                  expected.reshape(k * k, len(strings), -1))
+
+
 def test_fci_energy_with_as_many_alpha_as_beta_strings(lih):
     # 4 alpha and 2 beta electrons in LiH's 6 orbitals: C(6, 4) = C(6, 2) = 15
     # strings each, but swapping them is no symmetry, so the whole matrix is solved
@@ -225,7 +253,6 @@ def test_fci_energy_matches_embedded_qubit_route(name, active, projector, reques
     # routes that share no code
     system = request.getfixturevalue(name)
     problem, c_red = embedded_problem(system, active, projector=projector)
-    assert c_red.shape[1] <= qembed.solver.MAX_FCI_ORBITALS
     n_e = problem.n_act_electrons
     ham, _ = embedded_jw(system, active, projector=projector)
     e_qubit = ground_state(ham, n_electrons=n_e, s_z=0)
@@ -354,7 +381,8 @@ def test_methanol_20_qubit_sector(methanol):
 
 
 def test_sector_basis_memory():
-    # enumerating all 2^24 bitstrings with popcount temporaries peaked at 320 MB
+    # enumerating all 2^24 bitstrings with popcount temporaries peaked at 320 MB;
+    # growing only the 924 strings of each half peaks at 27 kB
     tracemalloc.start()
     try:
         alphas, betas = _sector_basis(24, 12, 0.0)
@@ -365,7 +393,7 @@ def test_sector_basis_memory():
     assert np.all(np.diff(alphas) > 0) and np.all(np.diff(betas) > 0)
     assert np.all(alphas & 0xAAAAAA == 0) and np.all(betas & 0x555555 == 0)
     assert np.all(np.bitwise_count(alphas) == 6) and np.all(np.bitwise_count(betas) == 6)
-    assert peak <= 64 * 2**20
+    assert peak <= 2**20
 
 
 def test_hamiltonian_without_terms(force_route):
@@ -376,10 +404,22 @@ def test_hamiltonian_without_terms(force_route):
     assert ground_state(ham, n_electrons=2, s_z=0) == 0.0
 
 
-def test_empty_sector_rejected():
-    ham = QubitHamiltonian.from_terms(2, [("ZI", 1.0)])
-    with pytest.raises(InputError, match="empty sector"):
-        ground_state(ham, n_electrons=3, s_z=0)
+def test_empty_sector_rejected(h2):
+    # configuration errors, each before any binomial of a negative count
+    ham = QubitHamiltonian.from_terms(4, [("ZIII", 1.0)])
+    for n_electrons, s_z in [
+        (-2, 0.0),  # fewer electrons than none
+        (6, 0.0),  # more electrons than the 4 spin orbitals
+        (3, 0.0),  # odd N + 2 S_z
+        (1, 1.5),  # |2 S_z| > N: 2 alpha and -1 beta electrons
+    ]:
+        with pytest.raises(InputError, match="empty sector"):
+            ground_state(ham, n_electrons=n_electrons, s_z=s_z)
+        # the oracle over H2's 2 orbitals: fci_oracle reads only the electron count
+        # before it refuses, and passes the alpha and beta counts of an even N + 2 S_z
+        # to fci_energy
+        with pytest.raises(InputError, match="empty determinant space|impossible"):
+            fci_oracle(SimpleNamespace(n_electrons=n_electrons), h2.ints, h2.scf, s_z=s_z)
 
 
 def test_non_half_integer_s_z_rejected(water):
@@ -391,25 +431,92 @@ def test_non_half_integer_s_z_rejected(water):
         fci_oracle(water.mol, water.ints, water.scf, s_z=0.2)
 
 
-def test_qubit_limit_enforced():
-    ham = QubitHamiltonian.from_terms(30, [("I" * 30, 1.0)])
-    with pytest.raises(InputError, match="exceeds"):
-        ground_state(ham, n_electrons=2, s_z=0)
+def word(n_qubits, letters):
+    """The Pauli word with letters[q] on qubit q and I elsewhere."""
+    return "".join(letters.get(q, "I") for q in range(n_qubits))
 
 
-def test_fci_orbital_limit(water):
-    from qembed.basis import build_basis
-    from qembed.integrals import compute_integrals
-    from qembed.molecule import parse_xyz
+def test_64_qubit_sector_reaches_bit_63():
+    # 1 alpha and 1 beta electron in 64 qubits: 32 x 32 = 1,024 states, built from
+    # the 32 strings of each half rather than from all 2^32 of them (32 GiB)
+    tracemalloc.start()
+    try:
+        alphas, betas = _sector_basis(64, 2, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert alphas.dtype == betas.dtype == np.uint64
+    assert betas[-1] == np.uint64(1 << 63) and np.all(np.diff(betas) > 0)
+    # Z on qubits 0 and 63, and hops of the alpha electron between qubits 0 and 62
+    # and of the beta electron between qubits 61 and 63 (XX + YY moves one electron
+    # with amplitude 2c, and no Z string couples the two spins)
+    terms = [(word(64, {0: "Z"}), -0.2), (word(64, {63: "Z"}), 0.3)]
+    terms += [(word(64, {p: pauli, q: pauli}), c) for p, q, c in ((0, 62, 0.15), (61, 63, 0.25))
+              for pauli in "XY"]
+    ham = QubitHamiltonian.from_terms(64, terms)
+    energy = ground_state(ham, n_electrons=2, s_z=0)
+    assert energy == pytest.approx(np.linalg.eigvalsh(sector_matrix(ham, alphas, betas))[0],
+                                   abs=1e-12)
+    # Z_q = 1 - 2 n_q, so E = 0.1 plus the lowest one-electron energy of each spin
+    alpha = np.linalg.eigvalsh([[0.4, 0.3], [0.3, 0.0]])[0]
+    beta = np.linalg.eigvalsh([[0.0, 0.5], [0.5, -0.6]])[0]
+    assert energy == pytest.approx(0.1 + alpha + beta, abs=1e-12)
 
-    # 9 AOs > 8-orbital oracle limit
+
+def test_butane_carbon_sector_refused_up_front():
+    # one carbon of n-butane active: 36 qubits and 10 electrons, 73,410,624 states;
+    # refused from its binomial count, before any string, rank table or entry
+    ham, n_e = embedded_jw(get_system("butane"), (0,))
+    assert (ham.n_qubits, n_e) == (36, 10)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InputError, match="dimension 73410624 .* MB limit"):
+            ground_state(ham, n_electrons=n_e, s_z=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak <= 2**20
+
+
+def test_rank_tables_counted_before_they_are_built(ch4, monkeypatch):
+    # a limit that admits the 4,900 states but not their partner-rank tables is
+    # met before _partner_ranks runs
+    ham, n_e = embedded_jw(ch4, (0, 1, 2, 3), "population")
+    alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
+    monkeypatch.setattr(qembed.solver, "MAX_SECTOR_BYTES", 320 * len(alphas) * len(betas))
+    monkeypatch.setattr(qembed.solver, "_partner_ranks", None)
+    with pytest.raises(InputError, match="MB limit"):
+        ground_state(ham, n_electrons=n_e, s_z=0)
+
+
+def test_fci_oracle_beyond_eight_orbitals():
+    # water and two far He atoms: K = 9, 7 + 7 electrons, so H+ and H- have 666
+    # and 630 rows; the qubit route solves the 18-qubit full map (1,296 states)
     mol = parse_xyz(
         "5\n\nO 0 0 0.1173\nH 0 0.7572 -0.4692\nH 0 -0.7572 -0.4692\n"
         "He 0 0 3.5\nHe 0 0 -3.5"
     )
     ints = compute_integrals(build_basis(mol), mol)
-    with pytest.raises(InputError, match="oracle limit"):
-        fci_oracle(mol, ints)
+    system = SimpleNamespace(mol=mol, ints=ints, scf=run_rhf(mol, ints))
+    gs = ground_state(full_jw(system), n_electrons=14, s_z=0)
+    assert gs == pytest.approx(fci_oracle(mol, ints, system.scf), abs=1e-10)
+
+
+def test_fci_oracle_refuses_full_ch4_before_any_string(ch4):
+    # K = 9 and 5 + 5 electrons: 126 strings of each spin, an H+ of 8,001 rows
+    # (512 MB by itself) and E tensors of 10 MB each; none of them is built
+    assert not fci_fits(9, 5, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="MB limit"):
+            fci_oracle(ch4.mol, ch4.ints, ch4.scf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_ground_state_energy_below_diagonal(h2):
