@@ -71,25 +71,17 @@ def _sto3g_table() -> dict[str, list[tuple[int, list[tuple[float, float]]]]]:
 
 
 def primitive_norm(alpha: float, powers: tuple[int, int, int]) -> float:
-    """Normalization constant of a Cartesian primitive Gaussian."""
-    l, m, n = powers
-    df = _double_factorial
-    num = (2.0 * alpha / np.pi) ** 0.75 * (4.0 * alpha) ** ((l + m + n) / 2.0)
-    return num / np.sqrt(df(2 * l - 1) * df(2 * m - 1) * df(2 * n - 1))
+    """Normalization constant of a Cartesian primitive Gaussian with every power at most 1.
 
-
-def _double_factorial(k: int) -> float:
-    out = 1.0
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    The (2l-1)!! factors of the general formula are all 1 for s and p powers.
+    """
+    return (2.0 * alpha / np.pi) ** 0.75 * (4.0 * alpha) ** (sum(powers) / 2.0)
 
 
 def _contracted_self_overlap(exps: np.ndarray, c: np.ndarray, L: int) -> float:
-    # <phi|phi> for a contracted Cartesian Gaussian with total power L on one axis
+    # <phi|phi> for a contracted Cartesian Gaussian with total power L <= 1 on one axis
     ee = exps[:, None] + exps[None, :]
-    pref = (np.pi / ee) ** 1.5 / (2.0 * ee) ** L * _double_factorial(2 * L - 1)
+    pref = (np.pi / ee) ** 1.5 / (2.0 * ee) ** L
     return float(np.einsum("i,j,ij->", c, c, pref))
 
 

@@ -9,6 +9,7 @@ are never touched.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,38 +127,30 @@ def population_localize(scf: SCFResult, s: np.ndarray, basis: BasisSet) -> np.nd
     Operates on occupied orbitals only. Returns the localized coefficient
     matrix (K, n_occ) with a sign convention of positive leading coefficient.
     """
-    atom_of = basis.atom_of_function()
-    n_atoms = int(atom_of.max()) + 1
-    atom_slices = [np.flatnonzero(atom_of == a) for a in range(n_atoms)]
-    c = scf.C_occ.copy()
-    s_half = lowdin_half(s)
-    c_bar = s_half @ c
-    n_occ = c.shape[1]
+    # build_basis appends AOs atom by atom, so each atom's AOs are one
+    # contiguous block and its charges are segment sums from the block start
+    starts = np.flatnonzero(np.diff(basis.atom_of_function(), prepend=-1))
+    c = scf.C_occ
+    k = c.shape[0]
+    m = np.vstack([c, lowdin_half(s) @ c])   # [C; S^(1/2) C], rotated together
     for _ in range(PM_MAX_SWEEPS):
         max_angle = 0.0
-        for i in range(n_occ):
-            for j in range(i + 1, n_occ):
-                a_ij = 0.0
-                b_ij = 0.0
-                for rows in atom_slices:
-                    q_ii = float(c_bar[rows, i] @ c_bar[rows, i])
-                    q_jj = float(c_bar[rows, j] @ c_bar[rows, j])
-                    q_ij = float(c_bar[rows, i] @ c_bar[rows, j])
-                    a_ij += q_ij * q_ij - 0.25 * (q_ii - q_jj) ** 2
-                    b_ij += q_ij * (q_ii - q_jj)
-                if np.hypot(a_ij, b_ij) < 1e-16:
-                    continue
-                angle = 0.25 * np.arctan2(b_ij, -a_ij)
-                if abs(angle) < 1e-12:
-                    continue
-                max_angle = max(max_angle, abs(angle))
-                cos_g, sin_g = np.cos(angle), np.sin(angle)
-                for mat in (c, c_bar):
-                    col_i = mat[:, i].copy()
-                    mat[:, i] = cos_g * col_i + sin_g * mat[:, j]
-                    mat[:, j] = -sin_g * col_i + cos_g * mat[:, j]
+        for i, j in itertools.combinations(range(c.shape[1]), 2):
+            ci, cj = m[k:, i], m[k:, j]
+            q_ii, q_jj, q_ij = np.add.reduceat(np.stack([ci * ci, cj * cj, ci * cj]), starts, axis=1)
+            d = q_ii - q_jj
+            a_ij = q_ij @ q_ij - 0.25 * (d @ d)
+            b_ij = q_ij @ d
+            if np.hypot(a_ij, b_ij) < 1e-16:
+                continue
+            angle = 0.25 * np.arctan2(b_ij, -a_ij)
+            if abs(angle) < 1e-12:
+                continue
+            max_angle = max(max_angle, abs(angle))
+            cos_g, sin_g = np.cos(angle), np.sin(angle)
+            m[:, [i, j]] = m[:, [i, j]] @ np.array([[cos_g, -sin_g], [sin_g, cos_g]])
         if max_angle < PM_ANGLE_TOL:
-            return _fix_signs(c)
+            return _fix_signs(m[:k])
     raise ConvergenceError(f"orbital localization not converged in {PM_MAX_SWEEPS} sweeps")
 
 
@@ -180,9 +173,9 @@ def assign_by_population(
     c_bar = lowdin_half(s) @ c_lmo
     per_orbital = np.sum(c_bar**2, axis=0)
     populations = np.sum(c_bar[list(active_aos), :] ** 2, axis=0) / per_orbital
-    active_idx = [i for i, p in enumerate(populations) if p > threshold]
-    env_idx = [i for i in range(c_lmo.shape[1]) if i not in active_idx]
-    if not active_idx:
+    is_active = populations > threshold
+    active_idx, env_idx = np.flatnonzero(is_active), np.flatnonzero(~is_active)
+    if not active_idx.size:
         raise PartitionError(
             f"no orbital exceeds the active-population threshold {threshold}; "
             "consider lowering it to include more orbitals"

@@ -57,10 +57,6 @@ class Molecule:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    @property
-    def n_occ(self) -> int:
-        return self.n_electrons // 2
-
     def positions(self) -> np.ndarray:
         return np.array([a.position for a in self.atoms])
 

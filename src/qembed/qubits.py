@@ -163,27 +163,20 @@ class QubitHamiltonian:
         order = np.argsort(words)
         return _decode(words[order], self.n_qubits), self.coeffs[order].tolist()
 
-    def _export(self) -> tuple[float, list[str], list[float]]:
-        """The JSON content: the identity's coefficient as constant, and the other terms."""
-        words, coeffs = self._sorted_terms()
-        if words and words[0] == "I" * self.n_qubits:   # the identity sorts first
-            return coeffs[0], words[1:], coeffs[1:]
-        return 0.0, words, coeffs
-
-    def to_json_dict(self) -> dict:
-        constant, words, coeffs = self._export()
-        return {"n_qubits": self.n_qubits, "constant": constant,
-                "terms": [{"pauli": word, "coeff": coeff} for word, coeff in zip(words, coeffs)]}
-
     def dump(self, path) -> None:
-        """Write to_json_dict() as json.dump(..., indent=1) does, plus a newline.
+        """Write the Hamiltonian as json.dump(..., indent=1) writes it, plus a newline.
 
-        The term list is formatted directly, in one % pass, with json's own
-        number formatting (a word is plain ASCII): json's indenting encoder runs
-        in pure Python, and took as long as the whole full-system Jordan-Wigner
-        map of methanol.
+        The layout is {"n_qubits", "constant", "terms": [{"pauli", "coeff"}, ...]}
+        with the terms sorted by word and the identity's coefficient as the
+        constant. The term list is formatted directly, in one % pass, with
+        json's own number formatting (a word is plain ASCII): json's indenting
+        encoder runs in pure Python, and took as long as the whole full-system
+        Jordan-Wigner map of methanol.
         """
-        constant, words, coeffs = self._export()
+        words, coeffs = self._sorted_terms()
+        constant = 0.0
+        if words and words[0] == "I" * self.n_qubits:   # the identity sorts first
+            constant, words, coeffs = coeffs[0], words[1:], coeffs[1:]
         body = "[]"
         if words:
             values = [None] * (2 * len(words))
@@ -198,7 +191,7 @@ class QubitHamiltonian:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitHamiltonian":
-        """Read the to_json_dict() layout; a missing or mistyped field raises InputError.
+        """Read the layout dump() writes; a missing or mistyped field raises InputError.
 
         n_qubits must be an int (not a bool), and every coefficient finite.
         """

@@ -155,6 +155,31 @@ def test_pm_preserves_orthonormality_and_density(water):
     np.testing.assert_allclose(2 * c_lmo @ c_lmo.T, water.scf.gamma, atol=1e-8)
 
 
+@pytest.mark.parametrize("name", ["water", "ch4", "nh3", "methanol"])
+def test_pm_result_is_stationary(name):
+    # every pair's Jacobi angle, recomputed with a loop over atoms as the
+    # reference, vanishes at the returned orbitals
+    from conftest import get_system
+
+    system = get_system(name)
+    c_lmo = population_localize(system.scf, system.ints.S, system.basis)
+    c_bar = lowdin_half(system.ints.S) @ c_lmo
+    atom_of = system.basis.atom_of_function()
+    n_occ = c_lmo.shape[1]
+    for i in range(n_occ):
+        for j in range(i + 1, n_occ):
+            a_ij = b_ij = 0.0
+            for atom in range(atom_of.max() + 1):
+                rows = atom_of == atom
+                q_ii = c_bar[rows, i] @ c_bar[rows, i]
+                q_jj = c_bar[rows, j] @ c_bar[rows, j]
+                q_ij = c_bar[rows, i] @ c_bar[rows, j]
+                a_ij += q_ij * q_ij - 0.25 * (q_ii - q_jj) ** 2
+                b_ij += q_ij * (q_ii - q_jj)
+            if np.hypot(a_ij, b_ij) >= 1e-16:
+                assert abs(0.25 * np.arctan2(b_ij, -a_ij)) < 1e-7, (i, j)
+
+
 def test_pm_water_orbitals_concentrated(water):
     c_lmo = population_localize(water.scf, water.ints.S, water.basis)
     c_bar = lowdin_half(water.ints.S) @ c_lmo

@@ -539,7 +539,8 @@ def test_dump_deterministic(tmp_path, h2):
 
 
 def test_dump_writes_what_json_module_writes(tmp_path, water):
-    # dump formats the term list itself; json.dump(..., indent=1) is the reference
+    # dump formats the term list itself; json.dumps(..., indent=1) of what it
+    # wrote is the format reference, and from_json_dict reads the terms back
     mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C,
                       constant=nuclear_repulsion(water.mol))
     hams = [
@@ -550,7 +551,9 @@ def test_dump_writes_what_json_module_writes(tmp_path, water):
     for ham in hams:
         path = tmp_path / "h.json"
         ham.dump(path)
-        assert path.read_text() == json.dumps(ham.to_json_dict(), indent=1) + "\n"
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert QubitHamiltonian.from_json_dict(json.loads(text)).terms == ham.terms
 
 
 def test_prune_threshold_drops_tiny_terms():
