@@ -9,6 +9,12 @@ outputs match:
 
     PYTHONPATH=<tree>/src python scripts/sector_matrix_digest.py > digests.txt
 
+The `ch4` digest also depends on which basis `eigh` picks inside CH4's
+degenerate embedded orbitals, and another BLAS or a harmless rounding
+change can move that choice. So compare digests only between runs on one
+machine with one BLAS, and take a changed `ch4` digest as a reason to look
+at the energies, not as proof of a fault.
+
 Methanol needs about 0.3 GB of memory; name sectors on the command line
 (`water ch4`) to build only those.
 """

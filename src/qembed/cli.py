@@ -94,20 +94,13 @@ def _refuse_directory(path: str) -> None:
         raise InputError(f"cannot write {path}: it is a directory")
 
 
-class StageError(Exception):
-    """Wraps a pipeline failure with the stage it happened in."""
-
-    def __init__(self, stage: str, original: Exception):
-        super().__init__(f"[{stage}] {original}")
-        self.stage = stage
-        self.original = original
-
-
 def _stage(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a QembedError it raises is re-raised with its stage set to name."""
     try:
         return fn(*args, **kwargs)
     except QembedError as exc:
-        raise StageError(name, exc) from exc
+        exc.stage = name
+        raise
 
 
 @contextmanager
@@ -148,7 +141,7 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
     """Execute geometry -> SCF -> partition -> embedding -> embedded qubit map -> sector solve.
 
     mol, when given, replaces the geometry file. A failure is raised as a
-    StageError naming its stage.
+    QembedError whose `stage` names its stage.
     """
     if mol is None:
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
@@ -163,7 +156,7 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
         partition, integrals, mol,
         projector_kind=config.projector, mu=config.mu,
     )
-    c_red = _stage("embedding", drop_environment_orbitals, scf_emb, partition.gamma_env, integrals.S)
+    c_red = _stage("embedding", drop_environment_orbitals, scf_emb, partition, integrals.S)
     mo_emb = mo_transform(problem.h_emb, integrals.eri, c_red,
                           constant=problem.classical_energy)
     h_emb = _stage("qubit_map", jordan_wigner, second_quantize(mo_emb), 2 * mo_emb.n_orbitals)
@@ -281,9 +274,9 @@ def _scan_point(args) -> dict:
                     float(np.log10(max(abs(row["e_embed"] - row["e_fci"]), 1e-16)))
                 )
         row["status"] = "ok"
-    except StageError as exc:
+    except QembedError as exc:
         row["status"] = f"error:{exc.stage}"
-        row["message"] = str(exc.original)
+        row["message"] = str(exc)
     return row
 
 
@@ -343,11 +336,14 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]
+    log = logging.getLogger(__name__)
+    failed = [row for row in rows if row["status"] != "ok"]
+    for row in failed:
+        log.warning("scan point r = %.10f Angstrom failed in stage %s: %s",
+                    row["r_angstrom"], row["status"].removeprefix("error:"), row["message"])
     _write_scan_table(config.out, rows)
-    n_err = sum(1 for row in rows if row["status"] != "ok")
-    logging.getLogger(__name__).log(logging.WARNING if n_err else logging.INFO,
-                                    "scan table written to %s (%d points, %d failed)",
-                                    config.out, len(rows), n_err)
+    log.log(logging.WARNING if failed else logging.INFO,
+            "scan table written to %s (%d points, %d failed)", config.out, len(rows), len(failed))
     return EXIT_OK
 
 
@@ -508,7 +504,7 @@ def _configure_logging(level: int) -> None:
         logger.addHandler(_LOG_HANDLER)
 
 
-# exit code and label of each failure; a StageError is labelled with its stage instead
+# exit code and label of each failure; one raised in a stage is labelled with the stage instead
 _EXITS = {
     ConvergenceError: (EXIT_CONVERGENCE, "convergence"),
     ProjectionError: (EXIT_PROJECTION, "projection"),
@@ -530,10 +526,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if len(args.atoms) != 2:
             raise InputError(f"scan atom pair must have two indices, got {args.atoms}")
         return cmd_scan(config, args.atoms, args.distances, jobs=args.jobs)
-    except (StageError, QembedError) as exc:
-        cause = getattr(exc, "original", exc)
-        code, label = next(value for kind, value in _EXITS.items() if isinstance(cause, kind))
-        print(f"error [{getattr(exc, 'stage', label)}] {cause}", file=sys.stderr)
+    except QembedError as exc:
+        code, label = next(value for kind, value in _EXITS.items() if isinstance(exc, kind))
+        print(f"error [{exc.stage or label}] {exc}", file=sys.stderr)
         return code
 
 

@@ -67,16 +67,6 @@ def huzinaga_projector(fock: np.ndarray, gamma_env: np.ndarray, s: np.ndarray) -
     return -0.5 * (fgs + fgs.T)
 
 
-def _electron_count(gamma: np.ndarray, s: np.ndarray) -> int:
-    raw = float(np.einsum("pq,qp->", s, gamma))
-    n = int(round(raw))
-    if abs(raw - n) > 1e-6:
-        raise ProjectionError(f"subsystem density has non-integer electron count {raw}")
-    if n % 2 != 0:
-        raise ProjectionError(f"subsystem density has odd electron count {n}")
-    return n
-
-
 def environment_populations(c: np.ndarray, gamma_env: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Environment weight of each orbital column; 1 for a pure environment orbital."""
     sgs = s @ gamma_env @ s
@@ -100,7 +90,7 @@ def run_embedded_scf(
         raise InputError(f"unknown projector kind {projector_kind!r}")
     s, eri, h_core = integrals.S, integrals.eri, integrals.h_core
     gamma_act, gamma_env = partition.gamma_act, partition.gamma_env
-    n_act = _electron_count(gamma_act, s)
+    n_act = 2 * partition.n_active
     e_nuc = nuclear_repulsion(mol)
     v_emb = two_electron_matrix(gamma_env, eri)
     e_env = float(np.einsum("pq,pq->", gamma_env, h_core)
@@ -155,20 +145,19 @@ def same_level_energy(problem: EmbeddedProblem, gamma_emb_act: np.ndarray,
     return e_act + problem.E_env + problem.g_cross + correction + problem.E_nuc
 
 
-def drop_environment_orbitals(
-    scf_emb: SCFResult, gamma_env: np.ndarray, s: np.ndarray
-) -> np.ndarray:
+def drop_environment_orbitals(scf_emb: SCFResult, partition: Partition, s: np.ndarray) -> np.ndarray:
     """Delete the environment-derived orbitals from the embedded MO set.
 
-    Exactly as many orbitals are removed as the environment holds, chosen by
-    largest environment population; occupied active orbitals and all
-    remaining virtuals are kept in energy order. Removal of an orbital whose
-    environment weight is below 0.5 signals a projection failure.
+    Exactly as many orbitals are removed as the partition's environment
+    holds, chosen by largest environment population; occupied active
+    orbitals and all remaining virtuals are kept in energy order. Removal of
+    an orbital whose environment weight is below 0.5 signals a projection
+    failure.
     """
-    n_env = int(round(0.5 * float(np.einsum("pq,qp->", s, gamma_env))))
+    n_env = partition.n_env
     if n_env == 0:
         return scf_emb.C
-    pops = environment_populations(scf_emb.C, gamma_env, s)
+    pops = environment_populations(scf_emb.C, partition.gamma_env, s)
     order = np.argsort(pops)
     dropped = order[-n_env:]
     if float(pops[dropped].min()) < 0.5:

@@ -9,6 +9,8 @@ ValueError from deep inside a stage.
 class QembedError(Exception):
     """Base class for all package errors."""
 
+    stage = None  # the pipeline stage it was raised in, set by the CLI driver
+
 
 class InputError(QembedError):
     """Malformed user input: geometry files, config values, atom indices."""

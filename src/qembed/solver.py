@@ -365,7 +365,8 @@ def _ci_blocks(h: np.ndarray, g: np.ndarray, n_alpha: int, n_beta: int):
         plus[sym[0] == i] = (t + swapped)[sym[0], :, sym[1]].T
         minus[anti[0] == i] = (t - swapped)[anti[0], 1:, anti[1]].T
     weight = np.where(sym[0] == sym[1], np.sqrt(0.5), 1.0)  # t + swapped counts |II> twice
-    plus *= weight[:, None] * weight
+    plus *= weight[:, None]  # two passes in place, so no second array the size of H+
+    plus *= weight
     return plus, minus
 
 
@@ -375,8 +376,8 @@ def _fci_bytes(k: int, n_alpha: int, n_beta: int) -> int:
     Counted from binomials: six arrays the size of the replacement matrices
     E of each distinct string count, for E, its product with (kl|mn) and the
     copies the build makes (4.1-5.5 measured by tracemalloc, the MO transform
-    included); and the CI blocks, with one more copy of the larger (the
-    weighting of H+, or LAPACK's copy).
+    included); and the CI blocks, with one more copy of the larger, for
+    LAPACK's copy.
     """
     n_a, n_b = math.comb(k, n_alpha), math.comb(k, n_beta)
     if n_alpha == n_beta:

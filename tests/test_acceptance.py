@@ -41,7 +41,7 @@ def _wf_total(system, partition, projector="huzinaga", mu=1e6):
     problem, emb = run_embedded_scf(
         partition, system.ints, system.mol, projector_kind=projector, mu=mu
     )
-    c_red = drop_environment_orbitals(emb, partition.gamma_env, system.ints.S)
+    c_red = drop_environment_orbitals(emb, partition, system.ints.S)
     mo = mo_transform(problem.h_emb, system.ints.eri, c_red,
                       constant=problem.classical_energy)
     ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
@@ -143,7 +143,7 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
     water = get_system("water")
     part = spade_partition(water.scf, water.ints.S, water.basis, [1])
     problem, emb = run_embedded_scf(part, water.ints, water.mol)
-    c_red = drop_environment_orbitals(emb, part.gamma_env, water.ints.S)
+    c_red = drop_environment_orbitals(emb, part, water.ints.S)
     mo = mo_transform(problem.h_emb, water.ints.eri, c_red,
                       constant=problem.classical_energy)
     ham6 = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
@@ -198,7 +198,7 @@ def test_criterion_6_embedding_reduces_hamiltonian():
             if part.n_env == 0:
                 continue
             problem, emb = run_embedded_scf(part, system.ints, system.mol)
-            c_red = drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+            c_red = drop_environment_orbitals(emb, part, system.ints.S)
             mo = mo_transform(problem.h_emb, system.ints.eri, c_red)
             ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
             checked += 1

@@ -18,7 +18,6 @@ from qembed.cli import (
     EXIT_CONVERGENCE,
     EXIT_PROJECTION,
     RunConfig,
-    StageError,
     cmd_embed,
     cmd_scan,
     _parse_index_list,
@@ -28,7 +27,7 @@ from qembed.cli import (
     run_embedding_pipeline,
 )
 from qembed.embedding import same_level_energy
-from qembed.exceptions import ConvergenceError, InputError, ProjectionError
+from qembed.exceptions import ConvergenceError, InputError
 from qembed.molecule import Atom, Molecule, parse_xyz
 from qembed.solver import _sector_basis, ground_state
 
@@ -622,7 +621,7 @@ def test_failed_report_write_leaves_no_output(tmp_path, water_file, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / "water.xyz"]
 
 
-def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch):
+def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch, capsys):
     import qembed.cli as cli
 
     def no_convergence(*args):
@@ -630,10 +629,15 @@ def test_failed_scan_row_names_the_fci_stage(tmp_path, h2_file, monkeypatch):
 
     monkeypatch.setattr(cli, "fci_oracle", no_convergence)
     out = tmp_path / "scan.txt"
-    config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(out))
-    assert cmd_scan(config, (0, 1), [0.7, 0.9]) == 0
+    assert main(["scan", "--geometry", h2_file, "--active", "0", "--atoms", "0,1",
+                 "--distances", "0.7,0.9", "--out", str(out)]) == 0
     rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert [row[-1] for row in rows] == ["error:fci"] * 2
+    # each failed point's stage and cause is logged, not only the table's status
+    err = capsys.readouterr().err
+    for r in ("0.7000000000", "0.9000000000"):
+        assert (f"scan point r = {r} Angstrom failed in stage fci: oracle did not converge\n"
+                in err)
 
 
 def test_progress_goes_to_the_log_not_stdout(tmp_path, h2_file, water_file, capsys):
@@ -659,27 +663,28 @@ def test_scan_with_a_failed_point_warns_without_verbose(tmp_path, h2_file, capsy
                  "--distances", "0.74,1e-8", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"scan table written to {out} (2 points, 1 failed)\n"
+    assert captured.err == ("scan point r = 0.0000000100 Angstrom failed in stage geometry: "
+                            "atoms 0 and 1 are coincident (r = 1.89e-08 Bohr)\n"
+                            f"scan table written to {out} (2 points, 1 failed)\n")
 
 
-def test_exit_code_mapping(monkeypatch, tmp_path, water_file):
+def test_exit_code_mapping(monkeypatch, tmp_path, water_file, capsys):
     import qembed.cli as cli
 
-    def boom_convergence(config, mol=None):
-        raise StageError("scf", ConvergenceError("no"))
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("no")
 
-    monkeypatch.setattr(cli, "run_embedding_pipeline", boom_convergence)
-    code = main(["embed", "--geometry", water_file, "--active", "0",
-                 "--out", str(tmp_path / "r.json")])
-    assert code == EXIT_CONVERGENCE
-
-    def boom_projection(config, mol=None):
-        raise StageError("embedding", ProjectionError("no"))
-
-    monkeypatch.setattr(cli, "run_embedding_pipeline", boom_projection)
-    code = main(["embed", "--geometry", water_file, "--active", "0",
-                 "--out", str(tmp_path / "r.json")])
-    assert code == EXIT_PROJECTION
+    argv = ["embed", "--geometry", water_file, "--active", "0,1", "--solver", "none",
+            "--out", str(tmp_path / "r.json")]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_rhf", no_convergence)
+        assert main(argv) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == "error [scf] no\n"
+    # a level shift of 1e-3 Ha leaves an environment orbital occupied: a real projection failure
+    assert main(argv + ["--projector", "mu", "--mu", "1e-3"]) == EXIT_PROJECTION
+    assert capsys.readouterr().err == ("error [embedding] occupied embedded orbital keeps "
+                                       "environment population 5.297e-01\n")
+    assert list(tmp_path.iterdir()) == [Path(water_file)]
 
 
 def test_scan_parallel_matches_serial(tmp_path, h2_file, monkeypatch):
@@ -815,7 +820,7 @@ def test_butane_one_h_embedding_solves_exactly(tmp_path, capsys):
     e_wf = report["energies"]["e_wf_in_lowlevel"]
     assert e_wf == pytest.approx(-155.4795937070, abs=1e-10)
     result = run_embedding_pipeline(RunConfig(str(geometry), (4,), solver="none"))
-    c_red = drop_environment_orbitals(result.scf_emb, result.partition.gamma_env,
+    c_red = drop_environment_orbitals(result.scf_emb, result.partition,
                                       result.integrals.S)
     assert (c_red.shape[1], result.problem.n_act_electrons) == (14, 2)
     e_fci = fci_energy(result.problem.h_emb, result.integrals.eri, c_red, 1, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,7 +12,7 @@ from qembed.embedding import (
     run_embedded_scf,
     same_level_energy,
 )
-from qembed.exceptions import InputError
+from qembed.exceptions import InputError, ProjectionError
 from qembed.localize import spade_partition
 from qembed.molecule import nuclear_repulsion
 from qembed.scf import density_matrix, two_electron_matrix
@@ -71,14 +72,6 @@ def test_mu_projector_positive_semidefinite(water, water_partition):
     p = mu_projector(water_partition.gamma_env, water.ints.S, mu=1e6)
     np.testing.assert_allclose(p, p.T, atol=1e-9)
     assert np.linalg.eigvalsh(p).min() > -1e-6  # PSD up to roundoff at mu=1e6
-
-
-def test_fractional_subsystem_electron_count_rejected(water, water_partition):
-    from qembed.embedding import _electron_count
-    from qembed.exceptions import ProjectionError
-
-    with pytest.raises(ProjectionError, match="non-integer"):
-        _electron_count(0.7 * water_partition.gamma_act, water.ints.S)
 
 
 def test_mu_projector_zero_env(water):
@@ -263,7 +256,7 @@ def test_wf_route_whole_molecule_equals_fci(h2):
 
     part = spade_partition(h2.scf, h2.ints.S, h2.basis, [0])
     problem, emb = run_embedded_scf(part, h2.ints, h2.mol)
-    c_red = drop_environment_orbitals(emb, part.gamma_env, h2.ints.S)
+    c_red = drop_environment_orbitals(emb, part, h2.ints.S)
     mo = mo_transform(problem.h_emb, h2.ints.eri, c_red,
                       constant=problem.classical_energy)
     ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
@@ -276,7 +269,7 @@ def test_embedding_beats_mean_field_at_equilibrium(water, water_partition):
     from qembed.solver import ground_state
 
     problem, emb = run_embedded_scf(water_partition, water.ints, water.mol)
-    c_red = drop_environment_orbitals(emb, water_partition.gamma_env, water.ints.S)
+    c_red = drop_environment_orbitals(emb, water_partition, water.ints.S)
     mo = mo_transform(problem.h_emb, water.ints.eri, c_red,
                       constant=problem.classical_energy)
     ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
@@ -287,7 +280,7 @@ def test_embedding_beats_mean_field_at_equilibrium(water, water_partition):
 
 def test_drop_environment_counts(water, water_partition):
     problem, emb = run_embedded_scf(water_partition, water.ints, water.mol)
-    c_red = drop_environment_orbitals(emb, water_partition.gamma_env, water.ints.S)
+    c_red = drop_environment_orbitals(emb, water_partition, water.ints.S)
     assert c_red.shape == (7, 6)  # one environment orbital removed
 
 
@@ -296,7 +289,7 @@ def test_drop_environment_keeps_the_rest_in_energy_order(water, ch4):
         part = spade_partition(system.scf, system.ints.S, system.basis, active)
         _, emb = run_embedded_scf(part, system.ints, system.mol)
         pops = environment_populations(emb.C, part.gamma_env, system.ints.S)
-        c_red = drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+        c_red = drop_environment_orbitals(emb, part, system.ints.S)
         expected = np.delete(emb.C, np.argsort(pops)[-part.n_env:], axis=1)
         np.testing.assert_array_equal(c_red, expected)
 
@@ -309,8 +302,16 @@ def test_unknown_projector_is_an_input_error(water, water_partition):
 def test_drop_environment_noop_without_env(h2):
     part = spade_partition(h2.scf, h2.ints.S, h2.basis, [0])
     problem, emb = run_embedded_scf(part, h2.ints, h2.mol)
-    c_red = drop_environment_orbitals(emb, part.gamma_env, h2.ints.S)
+    c_red = drop_environment_orbitals(emb, part, h2.ints.S)
     assert c_red.shape == (2, 2)
+
+
+def test_drop_of_more_orbitals_than_the_environment_holds_is_ambiguous(water, water_partition):
+    # water's one environment orbital plus one more: the second has population below 0.5
+    _, emb = run_embedded_scf(water_partition, water.ints, water.mol)
+    too_many = dataclasses.replace(water_partition, n_env=water_partition.n_env + 1)
+    with pytest.raises(ProjectionError, match="^ambiguous environment orbital removal: "):
+        drop_environment_orbitals(emb, too_many, water.ints.S)
 
 
 def test_removed_orbitals_are_pure_environment(water, lih, ch4):

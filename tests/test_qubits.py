@@ -432,7 +432,7 @@ def test_water_qubit_counts(water):
 
     part = spade_partition(water.scf, water.ints.S, water.basis, [0, 1])
     problem, emb = run_embedded_scf(part, water.ints, water.mol)
-    c_red = drop_environment_orbitals(emb, part.gamma_env, water.ints.S)
+    c_red = drop_environment_orbitals(emb, part, water.ints.S)
     mo_emb = mo_transform(problem.h_emb, water.ints.eri, c_red)
     ham_emb = jordan_wigner(second_quantize(mo_emb), 2 * mo_emb.n_orbitals)
     assert ham_emb.n_qubits == 12

@@ -64,7 +64,7 @@ def embedded_problem(system, active, localizer="spade", projector="huzinaga"):
         c_lmo = population_localize(system.scf, system.ints.S, system.basis)
         part = assign_by_population(c_lmo, system.ints.S, system.basis, active)
     problem, emb = run_embedded_scf(part, system.ints, system.mol, projector_kind=projector)
-    return problem, drop_environment_orbitals(emb, part.gamma_env, system.ints.S)
+    return problem, drop_environment_orbitals(emb, part, system.ints.S)
 
 
 def embedded_jw(system, active, localizer="spade", projector="huzinaga"):
@@ -149,9 +149,9 @@ def test_oracle_equivalence_nh3_within_its_byte_count(nh3):
     finally:
         tracemalloc.stop()
     assert gs == pytest.approx(e_fci, abs=1e-8)
-    # both blocks and a second H+ (its weighting) plus slack: the blocks are built one
-    # alpha string at a time and never hold the whole (I, J, I', J') tensor, which would
-    # not fit; 63.5 MiB measured, within the oracle's own count of its arrays
+    # both blocks, the room of one more H+ and slack: the blocks are built one alpha
+    # string at a time and never hold the whole (I, J, I', J') tensor, which would
+    # not fit; 55.7 MiB measured, within the oracle's own count of its arrays
     assert peak <= 1.25 * (2 * 1596**2 + 1540**2) * 8
     assert peak <= _fci_bytes(8, 5, 5)
 
