@@ -29,7 +29,7 @@ from .localize import (
     population_localize,
     spade_partition,
 )
-from .molecule import Molecule, load_xyz, nuclear_repulsion, parse_xyz
+from .molecule import Molecule, load_xyz, parse_xyz
 from .qubits import (
     FermionOperator,
     MOIntegrals,
@@ -69,7 +69,6 @@ __all__ = [
     "load_xyz",
     "mo_transform",
     "mu_projector",
-    "nuclear_repulsion",
     "parse_xyz",
     "population_localize",
     "run_embedded_scf",

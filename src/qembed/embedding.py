@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import InputError, ProjectionError
 from .integrals import IntegralSet
 from .localize import Partition
-from .molecule import Molecule, nuclear_repulsion
+from .molecule import Molecule
 from .scf import SCFResult, fock_build, run_rhf, two_electron_matrix
 
 ENV_LEAK_FATAL = 0.1
@@ -91,7 +91,6 @@ def run_embedded_scf(
     s, eri, h_core = integrals.S, integrals.eri, integrals.h_core
     gamma_act, gamma_env = partition.gamma_act, partition.gamma_env
     n_act = 2 * partition.n_active
-    e_nuc = nuclear_repulsion(mol)
     v_emb = two_electron_matrix(gamma_env, eri)
     e_env = float(np.einsum("pq,pq->", gamma_env, h_core)
                   + 0.5 * np.einsum("pq,pq->", gamma_env, v_emb))
@@ -102,7 +101,7 @@ def run_embedded_scf(
         projector = mu_projector(gamma_env, s, mu)
         h_scf, f_extra = h_bare + projector, None
     else:
-        h_scf, f_extra = h_bare, lambda gamma, fock: huzinaga_projector(fock, gamma_env, s)
+        h_scf, f_extra = h_bare, lambda fock: huzinaga_projector(fock, gamma_env, s)
     scf_emb = run_rhf(mol, integrals, h_override=h_scf, n_electrons_override=n_act,
                       f_extra=f_extra, gamma0=gamma_act)
     if projector_kind == "huzinaga":
@@ -123,7 +122,7 @@ def run_embedded_scf(
         E_env=e_env,
         g_cross=g_cross,
         E_correction=float(np.einsum("pq,pq->", gamma_act, v_emb + projector)),
-        E_nuc=e_nuc,
+        E_nuc=mol.e_nuc,
     )
     return problem, scf_emb
 

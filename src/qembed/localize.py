@@ -44,11 +44,6 @@ def lowdin_half(s: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def active_ao_indices(basis: BasisSet, active_atoms) -> tuple[int, ...]:
-    atom_of = basis.atom_of_function()
-    return tuple(int(i) for i in np.flatnonzero(np.isin(atom_of, list(active_atoms))))
-
-
 def _check_active_atoms(n_atoms: int, active_atoms) -> tuple[int, ...]:
     atoms = tuple(sorted(set(int(a) for a in active_atoms)))
     if not atoms:
@@ -58,6 +53,13 @@ def _check_active_atoms(n_atoms: int, active_atoms) -> tuple[int, ...]:
     if len(atoms) == n_atoms:
         raise PartitionError("all atoms marked active: environment would be empty")
     return atoms
+
+
+def _active_region(basis: BasisSet, active_atoms) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The checked, sorted active atoms and the indices of their AOs."""
+    atom_of = basis.atom_of_function()
+    atoms = _check_active_atoms(int(atom_of.max()) + 1, active_atoms)
+    return atoms, tuple(int(i) for i in np.flatnonzero(np.isin(atom_of, atoms)))
 
 
 def _fix_signs(c: np.ndarray) -> np.ndarray:
@@ -89,9 +91,7 @@ def spade_partition(scf: SCFResult, s: np.ndarray, basis: BasisSet, active_atoms
     consecutive singular values (padded with zeros past the row rank). A
     non-unique maximal gap is reported rather than tie-broken.
     """
-    n_atoms = int(basis.atom_of_function().max()) + 1
-    active_atoms = _check_active_atoms(n_atoms, active_atoms)
-    active_aos = active_ao_indices(basis, active_atoms)
+    active_atoms, active_aos = _active_region(basis, active_atoms)
     c_occ = scf.C_occ
     n_occ = c_occ.shape[1]
     block = (lowdin_half(s) @ c_occ)[list(active_aos), :]
@@ -167,9 +167,7 @@ def assign_by_population(
     active-atom AOs exceeds the threshold (the fraction is normalized, so the
     total population of each orbital counts as 1).
     """
-    n_atoms = int(basis.atom_of_function().max()) + 1
-    active_atoms = _check_active_atoms(n_atoms, active_atoms)
-    active_aos = active_ao_indices(basis, active_atoms)
+    active_atoms, active_aos = _active_region(basis, active_atoms)
     c_bar = lowdin_half(s) @ c_lmo
     per_orbital = np.sum(c_bar**2, axis=0)
     populations = np.sum(c_bar[list(active_aos), :] ** 2, axis=0) / per_orbital

@@ -34,11 +34,13 @@ class Atom:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Nuclei plus a total charge; electron count is derived."""
+    """Nuclei plus a total charge; the electron count and the nuclear
+    repulsion (point-charge pair sum, in Hartree) are derived."""
 
     atoms: tuple[Atom, ...]
     charge: int = 0
     n_electrons: int = field(init=False)
+    e_nuc: float = field(init=False)
 
     def __post_init__(self):
         n = sum(a.z for a in self.atoms) - self.charge
@@ -47,11 +49,14 @@ class Molecule:
         if n % 2 != 0:
             raise InputError(f"odd electron count {n}: only closed-shell molecules are supported")
         object.__setattr__(self, "n_electrons", n)
+        e_nuc = 0.0
         for i in range(len(self.atoms)):
             for j in range(i + 1, len(self.atoms)):
                 r = np.linalg.norm(self.atoms[i].position - self.atoms[j].position)
                 if r < 1e-6:
                     raise InputError(f"atoms {i} and {j} are coincident (r = {r:.2e} Bohr)")
+                e_nuc += self.atoms[i].z * self.atoms[j].z / r
+        object.__setattr__(self, "e_nuc", e_nuc)
 
     @property
     def n_atoms(self) -> int:
@@ -112,13 +117,3 @@ def load_xyz(path, charge: int = 0) -> Molecule:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read geometry file {path}: {exc}") from exc
     return parse_xyz(text, charge=charge)
-
-
-def nuclear_repulsion(mol: Molecule) -> float:
-    """Point-charge repulsion sum over nuclear pairs, in Hartree."""
-    e = 0.0
-    for i in range(mol.n_atoms):
-        for j in range(i + 1, mol.n_atoms):
-            r = np.linalg.norm(mol.atoms[i].position - mol.atoms[j].position)
-            e += mol.atoms[i].z * mol.atoms[j].z / r
-    return e

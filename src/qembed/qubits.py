@@ -145,10 +145,6 @@ class QubitHamiltonian:
         return cls(n_qubits, x, z, np.array([c for _, c in terms], dtype=float))
 
     @property
-    def constant(self) -> float:
-        return float(self.coeffs[(self.x | self.z) == 0].sum())
-
-    @property
     def terms(self) -> dict[str, float]:
         """Word -> coefficient, sorted by word."""
         words, coeffs = self._sorted_terms()

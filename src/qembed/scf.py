@@ -14,9 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, InputError
 from .integrals import IntegralSet
-from .molecule import Molecule, nuclear_repulsion
+from .molecule import Molecule
 
 MAX_ITERATIONS = 200
 CONV_GRADIENT = 1e-8
@@ -124,25 +124,25 @@ def run_rhf(
     *,
     h_override: Optional[np.ndarray] = None,
     n_electrons_override: Optional[int] = None,
-    f_extra: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    f_extra: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gamma0: Optional[np.ndarray] = None,
 ) -> SCFResult:
     """Converge the closed-shell SCF fixed point.
 
     h_override replaces the core Hamiltonian (embedding potential and static
-    projectors enter this way); f_extra(gamma, fock) is evaluated every cycle
+    projectors enter this way); f_extra(fock) is evaluated every cycle
     and added to the Fock matrix (for projectors that depend on the live Fock
     matrix). Convergence requires both the orbital gradient norm below 1e-8
     and the energy change below 1e-10. Each iteration is logged at DEBUG level.
     """
     n_electrons = mol.n_electrons if n_electrons_override is None else n_electrons_override
     if n_electrons % 2 != 0:
-        raise ConvergenceError(f"odd electron count {n_electrons} in restricted SCF")
+        raise InputError(f"odd electron count {n_electrons} in restricted SCF")
     n_occ = n_electrons // 2
     h = integrals.h_core if h_override is None else h_override
     s = integrals.S
     eri = integrals.eri
-    e_nuc = nuclear_repulsion(mol)
+    e_nuc = mol.e_nuc
     x = orthogonalizer(s)
 
     if gamma0 is None:
@@ -154,7 +154,7 @@ def run_rhf(
     def fock_and_energy(gamma):
         fock = fock_build(gamma, h, eri)
         if f_extra is not None:
-            fock = fock + f_extra(gamma, fock)
+            fock = fock + f_extra(fock)
         return fock, electronic_energy(gamma, h, fock)
 
     diis = _Diis()

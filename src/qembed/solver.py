@@ -40,7 +40,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, InputError
 from .integrals import IntegralSet
-from .molecule import Molecule, nuclear_repulsion
+from .molecule import Molecule
 from .qubits import QubitHamiltonian
 from .scf import SCFResult, run_rhf
 
@@ -432,4 +432,4 @@ def fci_oracle(mol: Molecule, integrals: IntegralSet, scf: Optional[SCFResult] =
         raise InputError(f"s_z={s_z} is impossible for {n_e} electrons")
     n_alpha = (n_e + twice_sz) // 2
     energy = fci_energy(integrals.h_core, integrals.eri, scf.C, n_alpha, n_e - n_alpha)
-    return energy + nuclear_repulsion(mol)
+    return energy + mol.e_nuc

@@ -19,7 +19,6 @@ from qembed.embedding import (
     same_level_energy,
 )
 from qembed.localize import spade_partition
-from qembed.molecule import nuclear_repulsion
 from qembed.qubits import jordan_wigner, mo_transform, second_quantize
 from qembed.scf import density_matrix
 from qembed.solver import fci_oracle, ground_state
@@ -134,7 +133,7 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
     for name, n_e in (("h2", 2), ("heh+", 2), ("water", 10)):
         system = get_system(name)
         mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C,
-                          constant=nuclear_repulsion(system.mol))
+                          constant=system.mol.e_nuc)
         ham = jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
         gs = ground_state(ham, n_electrons=n_e, s_z=0)
         e_fci = fci_oracle(system.mol, system.ints, system.scf)

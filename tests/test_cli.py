@@ -488,6 +488,7 @@ def test_scan_records_per_point_failures(tmp_path, h2_file):
     ("distances", "-0.9,0.9", "config"), ("distances", "0,0.9", "config"),
     ("distances", "0.8,nan", "config"), ("distances", "0.8,inf", "config"),
     ("distances", "0.8:inf:0.2", "config"), ("distances", "0.8:3.0:1e-300", "config"),
+    ("atoms", "0,1,2", "config"),
 ])
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_scan_refuses_bad_atoms_before_any_point(tmp_path, water_file, monkeypatch, capsys,
@@ -684,6 +685,12 @@ def test_exit_code_mapping(monkeypatch, tmp_path, water_file, capsys):
     assert main(argv + ["--projector", "mu", "--mu", "1e-3"]) == EXIT_PROJECTION
     assert capsys.readouterr().err == ("error [embedding] occupied embedded orbital keeps "
                                        "environment population 5.297e-01\n")
+    # a convergence failure outside the SCF keeps exit 3 and names its own stage
+    with monkeypatch.context() as patch:
+        patch.setattr(qembed.localize, "PM_MAX_SWEEPS", 1)
+        assert main(argv + ["--localizer", "population"]) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == ("error [partition] orbital localization not "
+                                       "converged in 1 sweeps\n")
     assert list(tmp_path.iterdir()) == [Path(water_file)]
 
 
@@ -907,7 +914,42 @@ def test_bad_value_is_a_config_error(tmp_path, water_file, commands, capsys, key
     assert commands == []
 
 
-@pytest.mark.parametrize("line", ["atoms = 0,1", "jobs = 2", "config = other.cfg", "geo = x.xyz"])
+def test_scan_without_atoms_is_a_config_error(tmp_path, water_file, capsys):
+    out = tmp_path / "scan.txt"
+    assert main(["scan", "--geometry", water_file, "--active", "0,2", "--distances", "0.8,1.0",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error [config] scan needs --atoms and --distances\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("threshold", "1.5", "threshold 1.5 outside (0, 1]"),
+    ("threshold", "nan", "threshold nan outside (0, 1]"),
+    ("active", ",", "active atom list is empty"),
+])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_bad_setting_is_refused_before_the_integrals(tmp_path, water_file, monkeypatch, capsys,
+                                                     key, value, message, source):
+    # these values parse, so cmd_embed's RunConfig.validate is what refuses them
+    import qembed.cli as cli
+
+    def integrals_ran(*args, **kwargs):
+        raise AssertionError("integrals ran")
+
+    monkeypatch.setattr(cli, "compute_integrals", integrals_ran)
+    out = tmp_path / "r.json"
+    lines = f"geometry = {water_file}\nactive = 0\nlocalizer = population\n"
+    if source == "file":
+        argv = ["embed", "--config", _write_config(tmp_path, lines + f"{key} = {value}\n")]
+    else:
+        argv = ["embed", "--config", _write_config(tmp_path, lines), f"--{key}", value]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error [config] {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["atoms = 0,1", "jobs = 2", "config = other.cfg", "geo = x.xyz",
+                                  "active 0,1"])
 def test_embed_config_refuses_keys_that_are_not_embed_flags(tmp_path, water_file, commands,
                                                             capsys, line):
     # a key is a whole flag name of the chosen subcommand, and never config

@@ -14,7 +14,6 @@ from qembed.embedding import (
 )
 from qembed.exceptions import InputError, ProjectionError
 from qembed.localize import spade_partition
-from qembed.molecule import nuclear_repulsion
 from qembed.scf import density_matrix, two_electron_matrix
 from qembed.solver import fci_oracle
 
@@ -138,9 +137,7 @@ def test_embedded_scf_trivial_environment_reproduces_full(h2):
     assert part.n_env == 0
     problem, emb = run_embedded_scf(part, h2.ints, h2.mol)
     assert emb.E_total == pytest.approx(h2.scf.E_total, abs=1e-10)
-    assert problem.classical_energy == pytest.approx(
-        nuclear_repulsion(h2.mol), abs=1e-12
-    )
+    assert problem.classical_energy == pytest.approx(h2.mol.e_nuc, abs=1e-12)
 
 
 def test_embedded_spectrum_huzinaga(water, water_partition):
@@ -245,9 +242,7 @@ def test_first_order_correction_vanishes_at_reference(water, water_partition):
 def test_classical_constant_trivial_environment(h2):
     part = spade_partition(h2.scf, h2.ints.S, h2.basis, [1])
     problem, _ = run_embedded_scf(part, h2.ints, h2.mol)
-    assert problem.classical_energy == pytest.approx(
-        nuclear_repulsion(h2.mol), abs=1e-12
-    )
+    assert problem.classical_energy == pytest.approx(h2.mol.e_nuc, abs=1e-12)
 
 
 def test_wf_route_whole_molecule_equals_fci(h2):

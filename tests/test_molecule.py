@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from qembed.molecule import (
     BOHR_PER_ANGSTROM,
     Atom,
     Molecule,
-    nuclear_repulsion,
     parse_xyz,
 )
 
@@ -58,6 +59,16 @@ def test_odd_electron_count_rejected():
         parse_xyz("2\n\nHe 0 0 0\nH 0 0 0.9")
 
 
+def test_empty_input_rejected():
+    with pytest.raises(InputError, match="^empty XYZ input$"):
+        parse_xyz("")
+
+
+def test_charge_that_removes_every_electron_rejected():
+    with pytest.raises(InputError, match=re.escape("no electrons: sum(Z)=10, charge=10")):
+        parse_xyz("3\nwater\nO 0 0 0.1173\nH 0 0.7572 -0.4692\nH 0 -0.7572 -0.4692", charge=10)
+
+
 def test_charge_shifts_electron_count():
     mol = parse_xyz("2\n\nHe 0 0 0\nH 0 0 0.9295", charge=1)
     assert mol.n_electrons == 2
@@ -71,11 +82,11 @@ def test_coincident_nuclei_rejected():
 def test_nuclear_repulsion_h2():
     mol = parse_xyz("2\n\nH 0 0 0\nH 0 0 0.7414")
     # hand calc: 1 / 1.4010429
-    assert nuclear_repulsion(mol) == pytest.approx(0.7137540, abs=1e-6)
+    assert mol.e_nuc == pytest.approx(0.7137540, abs=1e-6)
 
 
 def test_nuclear_repulsion_single_atom_zero():
-    assert nuclear_repulsion(parse_xyz("1\n\nHe 0 0 0")) == 0.0
+    assert parse_xyz("1\n\nHe 0 0 0").e_nuc == 0.0
 
 
 def test_nuclear_repulsion_matches_pair_sum_oracle():
@@ -89,7 +100,7 @@ def test_nuclear_repulsion_matches_pair_sum_oracle():
         for j in range(3):
             if i < j:
                 expected += z[i] * z[j] / np.sqrt(((pos[i] - pos[j]) ** 2).sum())
-    assert nuclear_repulsion(mol) == pytest.approx(expected, abs=1e-14)
+    assert mol.e_nuc == pytest.approx(expected, abs=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -103,9 +114,7 @@ def test_nuclear_repulsion_matches_pair_sum_oracle():
 def test_translation_leaves_repulsion_unchanged(shift):
     mol = parse_xyz("3\nwater\nO 0 0 0.1173\nH 0 0.7572 -0.4692\nH 0 -0.7572 -0.4692")
     moved = mol.translated(shift)
-    assert nuclear_repulsion(moved) == pytest.approx(
-        nuclear_repulsion(mol), abs=1e-12
-    )
+    assert moved.e_nuc == pytest.approx(mol.e_nuc, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import qembed.qubits
 from qembed.exceptions import InputError
-from qembed.molecule import nuclear_repulsion
 from qembed.qubits import (
     IMAG_TOLERANCE,
     FermionOperator,
@@ -282,7 +281,7 @@ def test_jw_refuses_coefficients_unlike_its_rows(n_coeffs, monkeypatch):
 def test_jw_merge_seams(water, monkeypatch):
     # a prime block leaves partial blocks, and many blocks wait for each merge
     mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C,
-                      constant=nuclear_repulsion(water.mol))
+                      constant=water.mol.e_nuc)
     ops = second_quantize(mo)
     default = jordan_wigner(ops, 14).terms
     monkeypatch.setattr(qembed.qubits, "JW_BLOCK", 997)
@@ -351,7 +350,7 @@ def _all_images(mo):
 def test_second_quantize_one_row_per_image_pair(request, name):
     system = request.getfixturevalue(name)
     mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C,
-                      constant=nuclear_repulsion(system.mol))
+                      constant=system.mol.e_nuc)
     ops = second_quantize(mo)
     by_width = {}
     for indices, _ in ops.products:
@@ -387,7 +386,7 @@ def test_second_quantize_sums_unequal_images(seed):
 
 def test_h2_term_count_is_fifteen(h2):
     mo = mo_transform(h2.ints.h_core, h2.ints.eri, h2.scf.C,
-                      constant=nuclear_repulsion(h2.mol))
+                      constant=h2.mol.e_nuc)
     ham = jordan_wigner(second_quantize(mo), 4)
     assert ham.term_count() == 15
 
@@ -542,7 +541,7 @@ def test_dump_writes_what_json_module_writes(tmp_path, water):
     # dump formats the term list itself; json.dumps(..., indent=1) of what it
     # wrote is the format reference, and from_json_dict reads the terms back
     mo = mo_transform(water.ints.h_core, water.ints.eri, water.scf.C,
-                      constant=nuclear_repulsion(water.mol))
+                      constant=water.mol.e_nuc)
     hams = [
         jordan_wigner(second_quantize(mo), 14),
         QubitHamiltonian.from_terms(3, [("III", 2.5)]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qembed.scf
-from qembed.exceptions import ConvergenceError
+from qembed.exceptions import ConvergenceError, InputError
 from qembed.molecule import parse_xyz
 from qembed.scf import (
     _Diis,
@@ -268,10 +268,8 @@ def test_electronic_energy_zero_density(water):
 
 
 def test_total_equals_elec_plus_nuc(water):
-    from qembed.molecule import nuclear_repulsion
-
     e = electronic_energy(water.scf.gamma, water.ints.h_core, water.scf.fock)
-    assert water.scf.E_total == pytest.approx(e + nuclear_repulsion(water.mol), abs=1e-12)
+    assert water.scf.E_total == pytest.approx(e + water.mol.e_nuc, abs=1e-12)
 
 
 def test_energy_plateau(water):
@@ -299,6 +297,11 @@ def test_nonconvergence_reported(water, monkeypatch):
     monkeypatch.setattr(qembed.scf, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError, match="did not converge"):
         run_rhf(water.mol, water.ints)
+
+
+def test_odd_electron_count_is_an_input_error(water):
+    with pytest.raises(InputError, match="^odd electron count 9 in restricted SCF$"):
+        run_rhf(water.mol, water.ints, n_electrons_override=9)
 
 
 def test_lih_converges_from_core_guess():

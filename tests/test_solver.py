@@ -15,7 +15,7 @@ from qembed.embedding import drop_environment_orbitals, run_embedded_scf
 from qembed.exceptions import ConvergenceError, InputError
 from qembed.integrals import compute_integrals
 from qembed.localize import assign_by_population, population_localize, spade_partition
-from qembed.molecule import nuclear_repulsion, parse_xyz
+from qembed.molecule import parse_xyz
 from qembed.qubits import (
     QubitHamiltonian,
     dense_matrix,
@@ -51,7 +51,7 @@ def force_route(monkeypatch):
 
 
 def full_jw(system, constant=None):
-    const = nuclear_repulsion(system.mol) if constant is None else constant
+    const = system.mol.e_nuc if constant is None else constant
     mo = mo_transform(system.ints.h_core, system.ints.eri, system.scf.C, constant=const)
     return jordan_wigner(second_quantize(mo), 2 * mo.n_orbitals)
 
@@ -225,7 +225,7 @@ def test_fci_energy_with_as_many_alpha_as_beta_strings(lih):
     # strings each, but swapping them is no symmetry, so the whole matrix is solved
     e_fci = fci_energy(lih.ints.h_core, lih.ints.eri, lih.scf.C, 4, 2)
     gs = ground_state(full_jw(lih), n_electrons=6, s_z=1)
-    assert e_fci + nuclear_repulsion(lih.mol) == pytest.approx(gs, abs=1e-10)
+    assert e_fci + lih.mol.e_nuc == pytest.approx(gs, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ["ch2", "nh"])
@@ -240,7 +240,7 @@ def test_triplet_ground_state_in_antisymmetric_block(name, request):
     h, g = mo_integrals(system)
     n_half = system.mol.n_electrons // 2
     e_plus = np.linalg.eigvalsh(_ci_blocks(h, g, n_half, n_half)[0])[0]
-    assert e_plus + nuclear_repulsion(system.mol) > e_triplet + 1e-3
+    assert e_plus + system.mol.e_nuc > e_triplet + 1e-3
 
 
 @pytest.mark.parametrize("name, active, projector", [
