@@ -137,11 +137,13 @@ class PipelineResult:
     e_wf: Optional[float]  # rounded exact ground-state energy; None for --solver none
 
 
-def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) -> PipelineResult:
+def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None,
+                           gamma0: Optional[np.ndarray] = None) -> PipelineResult:
     """Execute geometry -> SCF -> partition -> embedding -> embedded qubit map -> sector solve.
 
-    mol, when given, replaces the geometry file. A failure is raised as a
-    QembedError whose `stage` names its stage.
+    mol, when given, replaces the geometry file; gamma0, when given, is the
+    full RHF's starting density in place of the core guess. A failure is
+    raised as a QembedError whose `stage` names its stage.
     """
     if mol is None:
         mol = _stage("geometry", load_xyz, config.geometry, charge=config.charge)
@@ -149,7 +151,7 @@ def run_embedding_pipeline(config: RunConfig, mol: Optional[Molecule] = None) ->
     _stage("partition", _check_active_atoms, mol.n_atoms, config.active_atoms)
     basis = _stage("basis", build_basis, mol)
     integrals = _stage("integrals", compute_integrals, basis, mol)
-    scf = _stage("scf", run_rhf, mol, integrals)
+    scf = _stage("scf", run_rhf, mol, integrals, gamma0=gamma0)
     partition = _stage("partition", _partition_for, config, scf, integrals.S, basis)
     problem, scf_emb = _stage(
         "embedding", run_embedded_scf,
@@ -258,12 +260,13 @@ def displace_along_bond(mol: Molecule, i: int, j: int, r_bohr: float) -> Molecul
     return Molecule(tuple(atoms), charge=mol.charge)
 
 
-def _scan_point(args) -> dict:
-    config, base_mol, pair, r_ang = args
+def _scan_point(config: RunConfig, base_mol: Molecule, pair: tuple[int, int], r_ang: float,
+                gamma0: Optional[np.ndarray]) -> tuple[dict, Optional[np.ndarray]]:
+    """One scan row, and the point's converged RHF density (None if the point failed)."""
     row = {"r_angstrom": r_ang, "r_bohr": r_ang * BOHR_PER_ANGSTROM}
     try:
         mol = _stage("geometry", displace_along_bond, base_mol, pair[0], pair[1], row["r_bohr"])
-        result = run_embedding_pipeline(config, mol=mol)
+        result = run_embedding_pipeline(config, mol=mol, gamma0=gamma0)
         row["e_rhf"] = _round10(result.scf.E_total)
         row["e_embed"] = result.e_wf
         n_e = mol.n_electrons
@@ -277,7 +280,23 @@ def _scan_point(args) -> dict:
     except QembedError as exc:
         row["status"] = f"error:{exc.stage}"
         row["message"] = str(exc)
-    return row
+        return row, None
+    return row, result.scf.gamma
+
+
+def _scan_slice(args) -> list[dict]:
+    """The rows of a run of adjacent distances, in order.
+
+    Each point's full RHF starts from the previous point's converged density,
+    so the RHF follows one branch along the bond; the first point, and a
+    point after a failed one, start from the core guess.
+    """
+    config, base_mol, pair, radii = args
+    rows, gamma = [], None
+    for r_ang in radii:
+        row, gamma = _scan_point(config, base_mol, pair, r_ang, gamma)
+        rows.append(row)
+    return rows
 
 
 @contextmanager
@@ -319,9 +338,11 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
     # refuse a bad pair or active set before any point runs integrals and SCF
     _check_pair(base_mol, *atoms)
     _stage("partition", _check_active_atoms, base_mol.n_atoms, config.active_atoms)
-    tasks = [(config, base_mol, atoms, r) for r in grid]
     # a worker beyond the points or the usable CPUs adds only memory and contention
-    workers = min(jobs, len(tasks), _usable_cpus())
+    workers = min(jobs, len(grid), _usable_cpus())
+    # one contiguous slice of the grid per worker, so each seeds along its own slice
+    cuts = [k * len(grid) // workers for k in range(workers + 1)]
+    tasks = [(config, base_mol, atoms, grid[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
         # imported here, as a serial scan never uses them
         import multiprocessing
@@ -333,9 +354,10 @@ def cmd_scan(config: RunConfig, atoms: tuple[int, int], distances: list[float],
         level = logging.getLogger("qembed").getEffectiveLevel()
         with _single_threaded_blas_children(), ProcessPoolExecutor(
                 workers, mp_context=spawn, initializer=_configure_logging, initargs=(level,)) as pool:
-            rows = list(pool.map(_scan_point, tasks))
+            slices = list(pool.map(_scan_slice, tasks))
     else:
-        rows = [_scan_point(t) for t in tasks]
+        slices = list(map(_scan_slice, tasks))
+    rows = [row for part in slices for row in part]
     log = logging.getLogger(__name__)
     failed = [row for row in rows if row["status"] != "ok"]
     for row in failed:
@@ -469,7 +491,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="atom pair i,j; j is displaced along the bond")
     p_scan.add_argument("--distances", type=_flag_type(parse_distances),
                         help="list 'a,b,c' or range 'start:stop:step' (Angstrom)")
-    p_scan.add_argument("--jobs", type=int, default=1, help="concurrent scan points")
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, each scanning a contiguous slice of the distances")
     return parser
 
 

@@ -120,9 +120,10 @@ def boys(n_max: int, t: np.ndarray) -> np.ndarray:
 
 
 def _hermite_expansion(i_max: int, j_max: int, a, b, ab_dist):
-    """Hermite expansion coefficients E[i, j, t] for one Cartesian direction.
+    """Hermite expansion coefficients E[i, j, t] along one Cartesian axis per batch entry.
 
-    a, b, ab_dist are arrays over primitive pairs; the result has shape
+    a, b, ab_dist are arrays over primitive pairs, broadcast together into the
+    batch, so one call may hold all three axes; the result has shape
     (i_max+1, j_max+1, i_max+j_max+1) + batch.
     """
     p = a + b
@@ -130,7 +131,7 @@ def _hermite_expansion(i_max: int, j_max: int, a, b, ab_dist):
     xpa = -b * ab_dist / p   # P - A
     xpb = a * ab_dist / p    # P - B
     n_t = i_max + j_max + 1
-    E = np.zeros((i_max + 1, j_max + 1, n_t + 1) + np.shape(a))
+    E = np.zeros((i_max + 1, j_max + 1, n_t + 1) + np.shape(xpa))   # xpa has the batch shape
     E[0, 0, 0] = np.exp(-mu * ab_dist * ab_dist)
     inv2p = 1.0 / (2.0 * p)
     for i, j in ((i, j) for i in range(i_max + 1) for j in range(j_max + 1) if i or j):
@@ -251,8 +252,10 @@ def _pair_class(funcs, pairs) -> _PairClass:
     ia, ib = (x.ravel() for x in np.indices((len(pairs[0][0]), len(pairs[0][1]))))
     la = np.array([funcs[mu].powers for mu in pairs[0][0]])[ia].T   # (3, c)
     lb = np.array([funcs[mu].powers for mu in pairs[0][1]])[ib].T
-    e = [_hermite_expansion(la.max(), lb.max() + 2, a, b, ra[d] - rb[d]) for d in range(3)]
-    herm = np.array([h for h in _DENSITY if sum(h) <= max(la.sum(0)) + max(lb.sum(0))]).T
+    # [d, i, j, t, row]: the three directions in one expansion
+    e = np.moveaxis(_hermite_expansion(la.max(), lb.max() + 2, a, b, ra - rb), 3, 0)
+    order = la.sum(0).max() + lb.sum(0).max()
+    herm = np.array([h for h in _DENSITY if sum(h) <= order]).T
     density = np.prod([e[d][la[d][:, None], lb[d][:, None], herm[d]] for d in range(3)], axis=0)
     # one-dimensional overlaps at ket powers lb - 2 (clipped: it meets lb(lb-1) = 0), lb, lb + 2
     shifted = [[e[d][la[d], np.maximum(lb[d] + k, 0), 0] for d in range(3)] for k in (-2, 0, 2)]

@@ -3,9 +3,13 @@
 The qubit route diagonalizes in one (N, S_z) sector: the grid of its alpha
 strings (even qubits) times its beta strings (odd qubits), as in the
 string-driven CI of Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984).
-Small sectors are solved densely, larger ones by a Davidson iteration
-(Davidson, J. Comput. Phys. 17, 87 (1975)) in numpy around scipy.sparse's
-matrix product, with a shifted diagonal preconditioner and a seeded start.
+Small sectors are solved densely, one Z2 block at a time: the generators
+are the GF(2) null space of the x masks (Bravyi, Gambetta, Mezzacapo &
+Temme, arXiv:1701.08213), no word couples two states of different parities
+under them, and the lowest eigenvalue of any block is the sector's. Larger
+sectors are solved whole by a Davidson iteration (Davidson, J. Comput.
+Phys. 17, 87 (1975)) in numpy around scipy.sparse's matrix product, with a
+shifted diagonal preconditioner and a seeded start.
 The sector matrix is built from the Pauli terms grouped by X mask. A group
 flips the alpha and the beta string of every state apart,
 so a state's partner is the pair of ranks of its two flipped strings, and
@@ -272,19 +276,79 @@ def _lowest_eigenvalue(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim
     return _davidson(lambda v: upper @ v + lower @ v - diag * v, diag)
 
 
+def _z2_generators(x: np.ndarray, n_qubits: int) -> np.ndarray:
+    """A basis of the GF(2) null space of the x masks: the uint64 v with |v ∧ x| even for every x.
+
+    Z^v commutes with every word, so a word keeps the parity |s ∧ v| of each
+    basis state s (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213).
+    The masks are row-reduced one bit at a time: the first unused mask with
+    the bit set becomes its pivot and is XORed out of every other mask with
+    it. A bit without a pivot is free, and its generator is the bit plus the
+    pivot bits of the pivot masks that hold it.
+    """
+    rows, unused = x.copy(), np.ones(len(x), dtype=bool)
+    pivot_bits, pivot_rows, free = [], [], []
+    for q in range(n_qubits):
+        bit = np.uint64(1 << q)
+        hit = (rows & bit) != 0
+        at = np.flatnonzero(hit & unused)
+        if not len(at):
+            free.append(bit)
+            continue
+        pivot = rows[at[0]]
+        hit[at[0]], unused[at[0]] = False, False
+        rows[hit] ^= pivot
+        pivot_bits.append(bit)
+        pivot_rows.append(at[0])
+    bits, reduced = np.array(pivot_bits, dtype=np.uint64), rows[pivot_rows]
+    return np.array([f | np.bitwise_or.reduce(bits[(reduced & f) != 0], initial=np.uint64(0))
+                     for f in free], dtype=np.uint64)
+
+
+def _z2_blocks(h: QubitHamiltonian, alphas: np.ndarray,
+               betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(block, place, sizes): each sector state's Z2 block, its place in it, and the block sizes.
+
+    A state's label is its parities under the `_z2_generators`, packed into
+    uint64 bits, and for state (a, b) it is la[a] ^ lb[b]. States of one label
+    form a block, ranked in state order, and H couples no two blocks.
+    """
+    gens = _z2_generators(h.x, h.n_qubits)
+    bits = np.uint64(1) << np.arange(len(gens), dtype=np.uint64)
+
+    def labels(strings):
+        return (bits * (np.bitwise_count(strings[:, None] & gens) & 1)).sum(1, dtype=np.uint64)
+
+    # return_inverse, as np.unique with no return option imports numpy.ma
+    _, block = np.unique((labels(alphas)[:, None] ^ labels(betas)).ravel(), return_inverse=True)
+    sizes = np.bincount(block)
+    place = np.empty(len(block), dtype=np.intp)
+    place[np.argsort(block, kind="stable")] = np.arange(len(block)) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+    return block, place, sizes
+
+
 def ground_state(h: QubitHamiltonian, n_electrons: int, s_z: float = 0.0) -> float:
     """Lowest eigenvalue of the qubit Hamiltonian in the (n_electrons, s_z) sector.
 
-    A sector of at most DENSE_CUTOFF states is diagonalized densely from its
-    upper triangle; a larger one by `_davidson`.
+    A sector of at most DENSE_CUTOFF states is split into its `_z2_blocks`;
+    each block's upper triangle is filled from the entries of its states and
+    diagonalized densely, and the lowest of their eigenvalues is returned.
+    Without a splitting generator the one block is the whole sector matrix.
+    A larger sector is solved whole by `_davidson`.
     """
     alphas, betas = _sector_basis(h.n_qubits, n_electrons, s_z)
     rows, cols, data = _assemble_sector_matrix(h, alphas, betas)
     dim = len(alphas) * len(betas)
     if dim <= DENSE_CUTOFF:
-        upper = np.zeros((dim, dim))
-        upper[rows, cols] = data
-        return float(np.linalg.eigvalsh(upper, UPLO="U")[0])
+        block, place, sizes = _z2_blocks(h, alphas, betas)
+        of_entry, lowest = block[rows], np.inf
+        for k, size in enumerate(sizes.tolist()):
+            on = of_entry == k
+            upper = np.zeros((size, size))
+            upper[place[rows[on]], place[cols[on]]] = data[on]
+            lowest = min(lowest, float(np.linalg.eigvalsh(upper, UPLO="U")[0]))
+        return lowest
     return _lowest_eigenvalue(rows, cols, data, dim)
 
 

@@ -413,9 +413,8 @@ def test_scan_h2_table(tmp_path, h2_file):
 
 
 # the README scan (water, active O and H2, 0.8:3.0:0.2 A) as r: (e_rhf, e_fci, e_embed).
-# e_fci does not depend on which RHF solution a point reaches; beyond 2.0 A the
-# RHF of some points stops at a higher stationary point that moves with integral
-# round-off, so e_rhf and e_embed are stored only up to 2.0 A
+# Each point's RHF starts from the previous point's density, so the whole scan stays on
+# the lowest RHF branch, and every value is stored, beyond 2.0 A too
 README_SCAN = {
     0.8: (-74.9045617225, -74.9455074087, -74.9211883124),
     1.0: (-74.9637335186, -75.0160923405, -74.9905304243),
@@ -424,25 +423,94 @@ README_SCAN = {
     1.6: (-74.7908671019, -74.9153505301, -74.8900038713),
     1.8: (-74.7257165326, -74.8872945624, -74.8630185408),
     2.0: (-74.6694986962, -74.8700081228, -74.8466819831),
-    2.2: (None, -74.8605768614, None),
-    2.4: (None, -74.8557971673, None),
-    2.6: (None, -74.8534764083, None),
-    2.8: (None, -74.8523855790, None),
-    3.0: (None, -74.8518888516, None),
+    2.2: (-74.6236040505, -74.8605768614, -74.8379275065),
+    2.4: (-74.5874063756, -74.8557971673, -74.8335708277),
+    2.6: (-74.5593999350, -74.8534764083, -74.8314926000),
+    2.8: (-74.5379617729, -74.8523855790, -74.8305319553),
+    3.0: (-74.5216312867, -74.8518888516, -74.8301012463),
 }
 
 
-def test_readme_water_scan_regression(tmp_path, water_file):
-    out = tmp_path / "scan.txt"
+def readme_scan(tmp_path, water_file, jobs=1) -> str:
+    """The README scan's table, with `jobs` workers."""
+    out = tmp_path / f"scan{jobs}.txt"
     config = RunConfig(geometry=water_file, active_atoms=(0, 2), out=str(out))
-    assert cmd_scan(config, (0, 2), parse_distances("0.8:3.0:0.2")) == 0
-    rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert cmd_scan(config, (0, 2), parse_distances("0.8:3.0:0.2"), jobs=jobs) == 0
+    return out.read_text()
+
+
+def test_readme_water_scan_regression(tmp_path, water_file):
+    rows = [ln.split() for ln in readme_scan(tmp_path, water_file).splitlines()
+            if not ln.startswith("#")]
     assert [row[-1] for row in rows] == ["ok"] * 12
     assert [float(row[0]) for row in rows] == pytest.approx(list(README_SCAN))
     for row, stored in zip(rows, README_SCAN.values()):
         for value, expected in zip((row[2], row[3], row[4]), stored):
-            if expected is not None:
-                assert float(value) == pytest.approx(expected, abs=1e-9)
+            assert float(value) == pytest.approx(expected, abs=1e-9)
+    # past the minimum the RHF energy rises at every step: no point is on an upper branch
+    # that a later point leaves
+    e_rhf = [float(row[2]) for row in rows[1:]]
+    assert all(a < b for a, b in zip(e_rhf, e_rhf[1:]))
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make the scan's process pool run map here; returns the worker counts it is made with."""
+    import concurrent.futures
+
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return made
+
+
+def test_readme_water_scan_in_two_slices_matches_serial(tmp_path, water_file, monkeypatch,
+                                                        in_process_pool):
+    # each worker seeds along its own half of the grid, and its first point starts cold
+    import qembed.cli as cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    serial = readme_scan(tmp_path, water_file)
+    assert in_process_pool == []
+    assert readme_scan(tmp_path, water_file, jobs=2) == serial
+    assert in_process_pool == [2]
+
+
+def test_point_after_a_failed_one_starts_cold(tmp_path, h2_file, monkeypatch):
+    import qembed.cli as cli
+
+    run_rhf, starts, results = cli.run_rhf, [], []
+
+    def second_rhf_fails(mol, integrals, gamma0=None):
+        starts.append(gamma0)
+        if len(starts) == 2:
+            raise ConvergenceError("no")
+        results.append(run_rhf(mol, integrals, gamma0=gamma0))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_rhf", second_rhf_fails)
+    out = tmp_path / "scan.txt"
+    config = RunConfig(geometry=h2_file, active_atoms=(0,), out=str(out))
+    assert cmd_scan(config, (0, 1), [0.6, 0.9, 1.2, 1.5]) == 0
+    rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [row[-1] for row in rows] == ["ok", "error:scf", "ok", "ok"]
+    # the failed point started from the first point's density, the one after it
+    # from the core guess, and the last from the third point's density
+    assert starts[0] is None and starts[1] is results[0].gamma
+    assert starts[2] is None and starts[3] is results[1].gamma
 
 
 def test_scan_single_minimum_h2(tmp_path, h2_file):
@@ -708,36 +776,16 @@ def test_scan_parallel_matches_serial(tmp_path, h2_file, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus, n_points, workers", [(2, 3, 2), (16, 2, 2), (1, 3, None)])
-def test_scan_workers_capped_by_points_and_cpus(tmp_path, h2_file, monkeypatch,
+def test_scan_workers_capped_by_points_and_cpus(tmp_path, h2_file, monkeypatch, in_process_pool,
                                                 cpus, n_points, workers):
-    import concurrent.futures
-
     import qembed.cli as cli
 
-    made = []
-
-    class InProcessPool:
-        """Records its worker count and runs map here, starting no process."""
-
-        def __init__(self, max_workers, **kwargs):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     config = RunConfig(geometry=h2_file, active_atoms=(0,), solver="none",
                        out=str(tmp_path / "scan.txt"))
     distances = [0.6, 0.9, 1.2][:n_points]
     assert cmd_scan(config, (0, 1), distances, jobs=8) == 0
-    assert made == ([] if workers is None else [workers])
+    assert in_process_pool == ([] if workers is None else [workers])
 
 
 def test_scan_worker_environment_is_single_threaded_and_restored(monkeypatch):

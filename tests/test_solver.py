@@ -30,6 +30,8 @@ from qembed.solver import (
     _fci_bytes,
     _replacement_matrices,
     _sector_basis,
+    _z2_blocks,
+    _z2_generators,
     fci_energy,
     fci_fits,
     fci_oracle,
@@ -602,6 +604,108 @@ def test_sparse_route_matches_dense_route_on_embedded_water(water, force_route):
     dense = ground_state(ham, n_electrons=n_e, s_z=0)
     force_route("sparse")
     assert ground_state(ham, n_electrons=n_e, s_z=0) == pytest.approx(dense, abs=1e-10)
+
+
+# (molecule, active atoms): the whole molecule where its S_z = 0 sector is small, else the
+# embedding of one atom; CH2 and NH have S_z = 0 triplet ground states
+BLOCK_CASES = [("h2", None), ("he", None), ("heh+", None), ("lih", None), ("water", None),
+               ("ch2", None), ("nh", None), ("nh3", (0,)), ("ch4", (1,)), ("methanol", (5,)),
+               ("butane", (4,)), ("pentane", (5,))]
+
+
+def sector_hamiltonian(name, active):
+    """The qubit Hamiltonian of a BLOCK_CASES entry and its electron count."""
+    system = get_system(name)
+    if active is None:
+        return full_jw(system), system.mol.n_electrons
+    return embedded_jw(system, active)
+
+
+def gf2_span(gens):
+    """The distinct XORs of the subsets of gens, ascending: 2^len(gens) if they are independent."""
+    span = np.zeros(1, dtype=np.uint64)
+    for g in gens:
+        span = np.concatenate([span, span ^ g])
+    return np.unique(span)
+
+
+def null_space(ham):
+    """Every word v with an even overlap with every x mask, by a loop over all 2^n."""
+    v = np.arange(1 << ham.n_qubits, dtype=np.uint64)
+    return v[~(np.bitwise_count(v[:, None] & np.unique(ham.x)) % 2).any(1)]
+
+
+@pytest.mark.parametrize("name, active", BLOCK_CASES)
+def test_dense_blocks_match_the_whole_sector(name, active, force_route):
+    ham, n_e = sector_hamiltonian(name, active)
+    alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
+    block, place, sizes = _z2_blocks(ham, alphas, betas)
+    rows, cols, _ = _assemble_sector_matrix(ham, alphas, betas)
+    assert np.array_equal(block[rows], block[cols])  # no entry couples two blocks
+    for k, size in enumerate(sizes):
+        assert np.array_equal(place[block == k], np.arange(size))
+    force_route("dense")
+    whole = np.linalg.eigvalsh(sector_matrix(ham, alphas, betas))[0]
+    assert ground_state(ham, n_electrons=n_e, s_z=0) == pytest.approx(whole, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["ch2", "nh"])
+def test_triplet_lies_outside_the_rhf_determinant_block(name):
+    # the lowest block is not the one of the RHF determinant (state 0), so every block is solved
+    ham, n_e = sector_hamiltonian(name, None)
+    alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
+    block = _z2_blocks(ham, alphas, betas)[0]
+    own = block == block[0]
+    rhf_block = np.linalg.eigvalsh(sector_matrix(ham, alphas, betas)[np.ix_(own, own)])[0]
+    assert rhf_block > ground_state(ham, n_electrons=n_e, s_z=0) + 1e-3
+
+
+@pytest.mark.parametrize("name, active", BLOCK_CASES)
+def test_z2_generators_are_the_null_space_of_the_x_masks(name, active):
+    ham, _ = sector_hamiltonian(name, active)
+    gens = _z2_generators(ham.x, ham.n_qubits)
+    assert np.all(np.bitwise_count(gens[:, None] & ham.x) % 2 == 0)
+    if ham.n_qubits <= 14:
+        null = null_space(ham)
+        assert np.array_equal(gf2_span(gens), null) and len(null) == 2 ** len(gens)
+
+
+@pytest.mark.parametrize("active", [(0, 1), (0, 2)])
+def test_embedded_water_sector_splits_in_two(water, active):
+    # the mirror of the molecular plane survives the embedding of O and one H
+    ham, n_e = embedded_jw(water, active)
+    assert sorted(_z2_blocks(ham, *_sector_basis(ham.n_qubits, n_e, 0))[2]) == [100, 125]
+
+
+def test_sector_without_a_splitting_generator_is_solved_whole(ch4):
+    # one H of CH4 active: 25 states, and the only generators are the parities of
+    # the alpha and of the beta electron count, fixed in the sector: one block,
+    # the whole sector matrix as it was diagonalized before the blocks
+    ham, n_e = embedded_jw(ch4, (1,))
+    alphas, betas = _sector_basis(ham.n_qubits, n_e, 0)
+    assert sorted(_z2_generators(ham.x, ham.n_qubits).tolist()) == [0x155, 0x2AA]
+    assert _z2_blocks(ham, alphas, betas)[2].tolist() == [25]
+    rows, cols, data = _assemble_sector_matrix(ham, alphas, betas)
+    upper = np.zeros((25, 25))
+    upper[rows, cols] = data
+    assert ground_state(ham, n_electrons=n_e, s_z=0) == np.linalg.eigvalsh(upper, UPLO="U")[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums_and_sectors())
+def test_dense_blocks_of_random_sums_match_the_whole_sector(case):
+    ham, n_electrons, s_z, odd_y = case
+    n = ham.n_qubits
+    if odd_y:
+        return
+    try:
+        alphas, betas = _sector_basis(n, n_electrons, s_z)
+    except InputError:  # an empty sector
+        return
+    gens, null = _z2_generators(ham.x, n), null_space(ham)
+    assert np.array_equal(gf2_span(gens), null) and len(null) == 2 ** len(gens)
+    whole = np.linalg.eigvalsh(sector_matrix(ham, alphas, betas))[0]
+    assert ground_state(ham, n_electrons=n_electrons, s_z=s_z) == pytest.approx(whole, abs=1e-10)
 
 
 def test_embedded_water_sector_is_dense_matrix_restricted(water):
